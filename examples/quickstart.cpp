@@ -60,6 +60,7 @@ int main() {
       "\nSame algorithm, same schedule, very different bills: the CC cache\n"
       "absorbs the spin, the DSM interconnect pays for every poll. That gap\n"
       "is the subject of the paper — and no read/write algorithm can close\n"
-      "it (run ./build/examples/separation_demo to see why).\n");
+      "it (run ./build/tools/rmrsim_cli adversary --alg registration --n 48\n"
+      "to watch the Theorem 6.2 adversary force it open).\n");
   return 0;
 }

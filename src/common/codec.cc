@@ -45,6 +45,16 @@ std::uint32_t ByteReader::u32() {
   return v;
 }
 
+std::uint32_t ByteReader::count(std::size_t min_elem_bytes) {
+  const std::uint32_t n = u32();
+  if (static_cast<std::size_t>(end - p) / min_elem_bytes < n) {
+    throw std::runtime_error("count " + std::to_string(n) +
+                             " exceeds the remaining " +
+                             std::to_string(end - p) + " bytes");
+  }
+  return n;
+}
+
 std::uint64_t ByteReader::u64() {
   need(8);
   std::uint64_t v = 0;
@@ -59,16 +69,14 @@ std::uint64_t ByteReader::u64() {
 double ByteReader::dbl() { return std::bit_cast<double>(u64()); }
 
 std::string ByteReader::str() {
-  const std::uint32_t n = u32();
-  need(n);
+  const std::uint32_t n = count(1);
   std::string s(p, n);
   p += n;
   return s;
 }
 
 std::vector<ProcId> ByteReader::schedule() {
-  const std::uint32_t n = u32();
-  need(std::size_t{4} * n);
+  const std::uint32_t n = count(4);
   std::vector<ProcId> s;
   s.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -52,6 +52,11 @@ struct ByteReader {
     }
   }
   std::uint32_t u32();
+  /// A u32 element count, bounded by what the input can hold: throws
+  /// std::runtime_error when count * `min_elem_bytes` exceeds the bytes
+  /// left. Every decoder reads its counts through here before it reserves
+  /// or resizes, so a hostile count fails loudly instead of allocating.
+  std::uint32_t count(std::size_t min_elem_bytes);
   std::uint64_t u64();
   double dbl();
   std::string str();

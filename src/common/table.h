@@ -1,9 +1,9 @@
-// Plain-text table rendering for benchmark harnesses.
+// Plain-text table rendering for the CLI and the perf suites.
 //
-// Every experiment binary in bench/ regenerates one of the paper's complexity
-// claims as a table or series (DESIGN.md Section 3). This helper renders
-// aligned ASCII tables so EXPERIMENTS.md rows can be pasted directly from
-// bench output.
+// `rmrsim_cli sweep --exp E` regenerates one of the paper's complexity
+// claims as a per-point table and a fit table (DESIGN.md Section 3). This
+// helper renders aligned ASCII tables so EXPERIMENTS.md rows can be pasted
+// directly from that output.
 #pragma once
 
 #include <string>

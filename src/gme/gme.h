@@ -17,7 +17,8 @@
 //                     modules, and an exiting process that empties the room
 //                     admits the whole next session batch.
 //
-// The gme bench contrasts their concurrency and RMR bills across models.
+// gme_test's GmeConcurrency/GmeRmr cases contrast their concurrency and RMR
+// bills.
 #pragma once
 
 #include <optional>

@@ -1,6 +1,7 @@
 #include "harness/experiments.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -593,7 +594,8 @@ std::vector<Experiment> build_experiments() {
        decl("rmrs.max_waiter", "dsm", "flag-spin-n", Expectation::kOmegaW),
        decl("rmrs.amortized", "dsm", "flag-spin-n", Expectation::kOmegaW),
        decl("rmrs.max_waiter", "dsm", "flag-delay64"),
-       decl("rmrs.signaler", "dsm", "flag-delay64")}});
+       decl("rmrs.signaler", "dsm", "flag-delay64")},
+      {"rmrs.max_waiter", "rmrs.signaler", "rmrs.amortized", "spec.ok"}});
 
   out.push_back(Experiment{
       "e2", "Theorem 6.2: forced amortized RMRs in DSM vs the CC control",
@@ -602,7 +604,9 @@ std::vector<Experiment> build_experiments() {
        decl("adv.amortized", "dsm", "fixed-waiters", Expectation::kOmegaW),
        decl("adv.amortized", "dsm", "flag-dsm", Expectation::kOmegaW),
        decl("adv.amortized", "dsm", "flag-cc-control", Expectation::kO1),
-       decl("adv.signaler_rmrs", "dsm", "registration")}});
+       decl("adv.signaler_rmrs", "dsm", "registration")},
+      {"adv.stabilized", "adv.stable_waiters", "adv.signaler_rmrs",
+       "adv.participants", "adv.amortized", "spec.ok"}});
 
   out.push_back(Experiment{
       "e3", "Section 7 signaling-variant taxonomy",
@@ -612,7 +616,8 @@ std::vector<Experiment> build_experiments() {
        decl("rmrs.amortized", "dsm", "fixed-terminating", Expectation::kO1),
        decl("rmrs.signaler", "dsm", "fixed-wait-free", Expectation::kThetaN),
        decl("rmrs.max_waiter", "cc", "flag", Expectation::kO1),
-       decl("rmrs.signaler", "dsm", "registration")}});
+       decl("rmrs.signaler", "dsm", "registration")},
+      {"rmrs.max_waiter", "rmrs.signaler", "rmrs.amortized", "spec.ok"}});
 
   out.push_back(Experiment{
       "e4", "Section 8 message accounting under CC coherence protocols",
@@ -620,7 +625,12 @@ std::vector<Experiment> build_experiments() {
       {decl("msgs.bus.per_rmr", "cc", "flag-half-idle", Expectation::kO1),
        decl("msgs.ideal.per_rmr", "cc", "flag-half-idle", Expectation::kO1),
        decl("msgs.ideal.per_rmr", "cc", "ping-pong", Expectation::kO1),
-       decl("msgs.coarse.per_rmr", "cc", "ping-pong", Expectation::kOmegaW)}});
+       decl("msgs.coarse.per_rmr", "cc", "ping-pong", Expectation::kOmegaW)},
+      {"ledger.total_rmrs", "msgs.bus-broadcast.total",
+       "msgs.ideal-directory.total", "msgs.ideal-directory.invalidations",
+       "msgs.coarse-directory.total", "msgs.coarse-directory.invalidations",
+       "msgs.coarse-directory.superfluous", "msgs.ideal.per_rmr",
+       "msgs.coarse.per_rmr"}});
 
   // One E4 replica per fleet protocol, each with its own artifact
   // (BENCH_e4_<protocol>.json) and its own fitter gates: messages-per-RMR
@@ -641,7 +651,10 @@ std::vector<Experiment> build_experiments() {
          decl("cycles." + proto + ".per_rmr", "cc", "ping-pong",
               Expectation::kO1),
          decl("protocol.invariants_ok", "cc", "flag-half-idle"),
-         decl("protocol.invariants_ok", "cc", "ping-pong")}});
+         decl("protocol.invariants_ok", "cc", "ping-pong")},
+        {"ledger.total_rmrs", "msgs." + proto + ".total",
+         "msgs." + proto + ".per_rmr", "cycles." + proto + ".total",
+         "cycles." + proto + ".per_rmr", "protocol.invariants_ok"}});
   }
 
   out.push_back(Experiment{
@@ -659,7 +672,8 @@ std::vector<Experiment> build_experiments() {
        decl("rmrs.per_passage", "dsm", "bakery"),
        decl("rmrs.per_passage", "cc", "bakery"),
        decl("rmrs.per_passage", "dsm", "peterson"),
-       decl("rmrs.per_passage", "cc", "peterson")}});
+       decl("rmrs.per_passage", "cc", "peterson")},
+      {"rmrs.per_passage", "run.completed", "spec.ok"}});
 
   out.push_back(Experiment{
       "e6", "Corollary 6.14: the CAS transformation gives no escape",
@@ -667,13 +681,18 @@ std::vector<Experiment> build_experiments() {
       {decl("adv.amortized", "dsm", "rw-cas-transformed",
             Expectation::kOmegaW),
        decl("adv.amortized", "dsm", "cas-raw"),
-       decl("adv.in_scope", "dsm", "cas-raw")}});
+       decl("adv.in_scope", "dsm", "cas-raw")},
+      {"adv.in_scope", "adv.stabilized", "adv.stable_waiters",
+       "adv.signaler_rmrs", "adv.amortized", "spec.ok"}});
 
   out.push_back(Experiment{
       "e7", "Definition 6.9 invariants along the part-1 construction",
       e7_spec(), e7_runner,
       {decl("adv.invariants_ok", "dsm", "registration", Expectation::kO1),
-       decl("adv.amortized", "dsm", "registration")}});
+       decl("adv.amortized", "dsm", "registration")},
+      {"adv.rounds", "adv.stabilized", "adv.signaler_rmrs",
+       "adv.participants", "adv.amortized", "adv.invariants_ok",
+       "spec.ok"}});
 
   out.push_back(Experiment{
       "e8", "CC policy ablation: flag signaling and the TAS lock",
@@ -691,14 +710,22 @@ std::vector<Experiment> build_experiments() {
        decl("cycles.moesi.amortized", "cc", "flag", Expectation::kO1),
        decl("cycles.dragon.amortized", "cc", "flag", Expectation::kO1),
        decl("cycles.mesi.amortized", "cc", "tas"),
-       decl("cycles.dragon.amortized", "cc", "tas")}});
+       decl("cycles.dragon.amortized", "cc", "tas")},
+      {"rmrs.max_waiter", "rmrs.signaler", "rmrs.amortized",
+       "rmrs.per_passage", "cycles.mesi.amortized", "cycles.mesif.amortized",
+       "cycles.moesi.amortized", "cycles.dragon.amortized",
+       "protocol.invariants_ok"}});
 
   out.push_back(Experiment{
       "e9", "Crash/recovery: RMR cost of the recoverable lock under faults",
       e9_spec(), e9_runner,
       // N is fixed (the sweep axis is the fault plan), so there is no
-      // growth series to fit — the artifact carries the raw points.
-      {}});
+      // growth series to fit — the artifact carries the raw points and
+      // the point table prints them.
+      {},
+      {"run.completed", "run.passages_done", "rmrs.per_exit",
+       "history.crashes", "history.recoveries", "crash.failed_recoveries",
+       "crash.fifo_inversions", "spec.ok"}});
 
   out.push_back(Experiment{
       "t1_synth", "Trace workloads: synthetic sharing patterns, N axis",
@@ -714,7 +741,8 @@ std::vector<Experiment> build_experiments() {
        decl("rmrs.per_op", "cc", "zipf"),
        decl("rmrs.per_op", "dsm", "zipf"),
        decl("rmrs.per_op", "cc", "migratory"),
-       decl("rmrs.per_op", "cc", "ring")}});
+       decl("rmrs.per_op", "cc", "ring")},
+      {"trace.ops", "ledger.total_rmrs", "rmrs.per_op"}});
 
   out.push_back(Experiment{
       "t1_scale", "Trace workloads: zipf trace-length scaling + fleet",
@@ -727,7 +755,10 @@ std::vector<Experiment> build_experiments() {
        decl("cycles.dragon.per_op", "cc", "zipf", Expectation::kO1),
        decl("msgs.mesi.per_op", "cc", "zipf"),
        decl("protocol.invariants_ok", "cc", "zipf"),
-       decl("protocol.invariants_ok", "dsm", "zipf")}});
+       decl("protocol.invariants_ok", "dsm", "zipf")},
+      {"trace.ops", "rmrs.per_op", "cycles.mesi.per_op",
+       "cycles.mesif.per_op", "cycles.moesi.per_op", "cycles.dragon.per_op",
+       "protocol.invariants_ok"}});
 
   return out;
 }
@@ -781,6 +812,37 @@ bool artifact_matches(const BenchArtifact& artifact) {
     if (!fs.matches_expectation) return false;
   }
   return true;
+}
+
+std::string render_point_table(const Experiment& exp,
+                               const SweepResult& result) {
+  const bool faults =
+      std::any_of(result.spec.fault_plans.begin(),
+                  result.spec.fault_plans.end(),
+                  [](const std::string& f) { return !f.empty(); });
+  std::vector<std::string> header{"model", "algorithm", "N"};
+  if (faults) header.push_back("fault plan");
+  header.insert(header.end(), exp.columns.begin(), exp.columns.end());
+  TextTable t;
+  t.set_header(std::move(header));
+  for (const SweepPointResult& pr : result.points) {
+    std::vector<std::string> row{pr.point.model, pr.point.algorithm,
+                                 std::to_string(pr.point.n)};
+    if (faults) {
+      row.push_back(pr.point.fault_plan.empty() ? "none"
+                                                : pr.point.fault_plan);
+    }
+    for (const std::string& metric : exp.columns) {
+      if (!pr.metrics.has_value(metric)) {
+        row.push_back("-");
+        continue;
+      }
+      const double v = pr.metrics.value(metric);
+      row.push_back(v == std::floor(v) ? format_metric_number(v) : fixed(v));
+    }
+    t.add_row(std::move(row));
+  }
+  return t.render();
 }
 
 std::string render_fit_table(const BenchArtifact& artifact) {

@@ -5,9 +5,10 @@
 // MetricsRegistry), and the series the artifact must carry — some pinned
 // to the asymptotic class the paper claims (E1 flag-in-CC must fit O(1),
 // E2's forced amortized cost must fit super-constant, E5's Yang–Anderson
-// must fit Theta(log N), ...). `rmrsim_cli sweep`, the bench binaries, and
-// CI all run experiments from this one table, so the grid and the claims
-// live in exactly one place.
+// must fit Theta(log N), ...), and the metric columns of its per-point
+// table. `rmrsim_cli sweep` is each experiment's one entry point, and CI
+// gates it; the grid, the claims and the table layout live in exactly one
+// place.
 #pragma once
 
 #include <optional>
@@ -27,11 +28,14 @@ struct SeriesDecl {
 };
 
 struct Experiment {
-  std::string name;   ///< "e1" ... "e9"
+  std::string name;   ///< "e1" ... "e9", "e4_<protocol>", "t1_*"
   std::string title;  ///< one-line description (artifact title)
   SweepSpec spec;
   PointRunner runner;
   std::vector<SeriesDecl> series;
+  /// Metric names printed per grid point by render_point_table, in order.
+  /// Display only: the artifact carries every metric regardless.
+  std::vector<std::string> columns;
 };
 
 /// All registered experiments, in e1..e9 order.
@@ -47,7 +51,7 @@ BenchArtifact run_experiment(const Experiment& exp, int workers,
                              const std::string& generator, int max_n = 0);
 
 /// Fits `result` against the experiment's declared series (the tail of
-/// run_experiment, split out so benches can reuse a sweep they already
+/// run_experiment, split out so callers can reuse a sweep they already
 /// ran).
 BenchArtifact make_artifact(const Experiment& exp, SweepResult result,
                             const std::string& generator);
@@ -56,8 +60,14 @@ BenchArtifact make_artifact(const Experiment& exp, SweepResult result,
 /// class — the `rmrsim_cli sweep --check` / CI gate.
 bool artifact_matches(const BenchArtifact& artifact);
 
+/// One row per grid point in canonical order: model / algorithm / N (plus
+/// the fault plan when the grid has one), then the value of each of
+/// `exp.columns` — "-" where a point did not publish that metric.
+std::string render_point_table(const Experiment& exp,
+                               const SweepResult& result);
+
 /// The fitted-series text table (metric / model / algorithm / fitted class
-/// / slope / expected / match) benches and the CLI both print. Empty
+/// / slope / expected / match) the CLI prints after the point table. Empty
 /// string when the artifact has no series.
 std::string render_fit_table(const BenchArtifact& artifact);
 

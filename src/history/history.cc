@@ -347,7 +347,7 @@ void History::decode(ByteReader& r) {
   }
   mode_ = mode;
   per_proc_.clear();
-  per_proc_.resize(r.u32());
+  per_proc_.resize(r.count(3 * 8 + 4));
   for (ProcCounters& c : per_proc_) {
     c.steps = r.u64();
     c.mem_steps = r.u64();
@@ -361,7 +361,8 @@ void History::decode(ByteReader& r) {
   saw_ll_sc_ = r.u32() != 0;
   records_.clear();
   if (mode_ == HistoryMode::kFull) {
-    const std::uint32_t n = r.u32();
+    // One record: ten u32 and six u64 fields.
+    const std::uint32_t n = r.count(10 * 4 + 6 * 8);
     records_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       StepRecord rec;

@@ -179,7 +179,8 @@ void CcModel::save_state(std::string& out) const {
 
 void CcModel::load_state(ByteReader& r) {
   lines_.clear();
-  const std::uint32_t n = r.u32();
+  // One line: a sharer-list count, owner and exclusive holder.
+  const std::uint32_t n = r.count(3 * 4);
   lines_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     Line l;

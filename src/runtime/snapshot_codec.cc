@@ -19,8 +19,8 @@ void put_ledger(std::string& out, const RmrLedger& ledger) {
 }
 
 RmrLedger take_ledger(ByteReader& r) {
-  const int nprocs = static_cast<int>(r.u32());
-  if (nprocs <= 0 || nprocs > 1 << 20) {
+  const int nprocs = static_cast<int>(r.count(2 * 8));  // ops + rmrs each
+  if (nprocs <= 0) {
     throw std::runtime_error("bad ledger process count");
   }
   RmrLedger ledger(nprocs);
@@ -74,7 +74,10 @@ void put_procs(std::string& out, const WorldSnapshot& snap) {
 }
 
 std::vector<WorldSnapshot::ProcState> take_procs(ByteReader& r) {
-  const std::uint32_t n = r.u32();
+  // Minimum encoded sizes: a proc is seven u32 flags/counters, two u64
+  // clocks, and the log count, pc and register count; a resume record is
+  // five u32 and two u64 fields.
+  const std::uint32_t n = r.count(7 * 4 + 2 * 8 + 3 * 4);
   std::vector<WorldSnapshot::ProcState> procs;
   procs.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -88,7 +91,7 @@ std::vector<WorldSnapshot::ProcState> take_procs(ByteReader& r) {
     ps.recoveries = static_cast<int>(r.u32());
     ps.steps = r.u64();
     ps.wake_time = r.u64();
-    const std::uint32_t nlog = r.u32();
+    const std::uint32_t nlog = r.count(5 * 4 + 2 * 8);
     ps.log.reserve(nlog);
     for (std::uint32_t j = 0; j < nlog; ++j) {
       ResumeRecord rec;
@@ -106,8 +109,7 @@ std::vector<WorldSnapshot::ProcState> take_procs(ByteReader& r) {
       ps.log.push_back(rec);
     }
     ps.pc = r.u32();
-    const std::uint32_t nregs = r.u32();
-    r.need(std::size_t{8} * nregs);
+    const std::uint32_t nregs = r.count(8);
     ps.regs.reserve(nregs);
     for (std::uint32_t j = 0; j < nregs; ++j) {
       ps.regs.push_back(static_cast<Word>(r.u64()));
@@ -167,7 +169,7 @@ WorldSnapshot decode_world_snapshot(std::string_view bytes,
   out.now = r.u64();
   out.history.decode(r);
   out.schedule = r.schedule();
-  const std::uint32_t nfaults = r.u32();
+  const std::uint32_t nfaults = r.count(4 + 4 + 8);
   out.fault_trace.reserve(nfaults);
   for (std::uint32_t i = 0; i < nfaults; ++i) {
     Simulation::FaultRecord f;

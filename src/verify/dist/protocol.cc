@@ -37,6 +37,9 @@ void put_footprint(std::string& out, const Simulation::MacroFootprint& fp) {
   put_u32(out, fp.terminated ? 1 : 0);
 }
 
+/// Encoded size of one footprint: five u32 fields.
+constexpr std::size_t kFootprintBytes = 5 * 4;
+
 Simulation::MacroFootprint take_footprint(ByteReader& r) {
   Simulation::MacroFootprint fp;
   fp.has_op = r.u32() != 0;
@@ -116,21 +119,22 @@ ItemMsg decode_item(std::string_view payload) {
   msg.base_nodes = r.u64();
   msg.collect_completes = r.u32() != 0;
   msg.item.schedule = r.schedule();
-  const std::uint32_t npath = r.u32();
+  // Minimum encoded sizes: a path step is proc + footprint + clock count,
+  // a sleep entry proc + footprint.
+  const std::uint32_t npath = r.count(4 + kFootprintBytes + 4);
   msg.item.path.reserve(npath);
   for (std::uint32_t i = 0; i < npath; ++i) {
     DporPathStep s;
     s.proc = static_cast<ProcId>(r.u32());
     s.fp = take_footprint(r);
-    const std::uint32_t nclock = r.u32();
-    r.need(std::size_t{4} * nclock);
+    const std::uint32_t nclock = r.count(4);
     s.clock.reserve(nclock);
     for (std::uint32_t j = 0; j < nclock; ++j) {
       s.clock.push_back(static_cast<std::int32_t>(r.u32()));
     }
     msg.item.path.push_back(std::move(s));
   }
-  const std::uint32_t nsleep = r.u32();
+  const std::uint32_t nsleep = r.count(4 + kFootprintBytes);
   msg.item.sleep.reserve(nsleep);
   for (std::uint32_t i = 0; i < nsleep; ++i) {
     DporSleepEntry e;

@@ -8,7 +8,7 @@
 //  * WorldSnapshot::fingerprint — deterministic across fork/restore round
 //    trips and across re-encodes, sensitive to a single poked store word.
 //  * encode/decode_world_snapshot — canonical round trip, loud rejection
-//    of truncation and structural mismatch.
+//    of truncation, structural mismatch and hostile element counts.
 //  * protocol frames — CRC-checked round trip over a real pipe; torn
 //    writes and flipped bytes throw, clean EOF returns false.
 //  * checkpoint ItemOutcome v2 — footprint summaries survive the record
@@ -171,6 +171,27 @@ TEST(SnapshotWireCodec, RejectsTruncationAndStructuralMismatch) {
   EXPECT_THROW(decode_world_snapshot(wire, *other_proto), std::exception);
 }
 
+/// Overwrites the u32 at byte `at` of `bytes` (little-endian, as put_u32).
+void poke_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
+  std::string le;
+  put_u32(le, v);
+  bytes.replace(at, 4, le);
+}
+
+TEST(SnapshotWireCodec, HostileHistoryProcCountThrowsBeforeAllocating) {
+  const ExploreBuilder build = signaling_builder(2, 1);
+  const auto snap = snapshot_after(build, {0});
+  const auto proto = snapshot_after(build, {});
+  std::string wire = encode_world_snapshot(*snap);
+  std::string history;
+  snap->history.encode(history);
+  const std::size_t at = wire.find(history);
+  ASSERT_NE(at, std::string::npos);
+  // The per-proc counter count follows the u32 history mode.
+  poke_u32(wire, at + 4, 0xFFFFFFFFu);
+  EXPECT_THROW(decode_world_snapshot(wire, *proto), std::runtime_error);
+}
+
 // ---- pipe frames ------------------------------------------------------
 
 struct Pipe {
@@ -299,6 +320,16 @@ TEST(DistProtocol, MessageRoundTrips) {
 }
 
 // ---- checkpoint record v2 --------------------------------------------
+
+TEST(DistProtocol, HostilePathCountThrowsBeforeAllocating) {
+  dist::ItemMsg item;
+  item.snapshot = "opaque snapshot bytes";
+  std::string wire = dist::encode_item(item);
+  // tag, index, base_nodes, collect_completes, empty schedule count: the
+  // path count is the u32 at byte 28.
+  poke_u32(wire, 28, 0xFFFFFFFFu);
+  EXPECT_THROW(dist::decode_item(wire), std::runtime_error);
+}
 
 TEST(CheckpointV2, ItemOutcomeFootprintsSurviveTheRecordRoundTrip) {
   ItemOutcome out;

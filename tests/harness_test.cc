@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -244,23 +245,6 @@ TEST(Sweep, ExtractSeriesDedupesRepeatedNs) {
   EXPECT_NO_THROW(fit_growth_class(es.xs, es.ys));
 }
 
-TEST(Sweep, FindPointMatchesAllAxes) {
-  const SweepSpec s = two_by_everything_spec();
-  const SweepResult r = run_sweep(s, synthetic_runner, 1);
-  const SweepPointResult* pr = find_point(r, "cc", "b", 16);
-  ASSERT_NE(pr, nullptr);
-  EXPECT_EQ(pr->point.model, "cc");
-  EXPECT_EQ(pr->point.algorithm, "b");
-  EXPECT_EQ(pr->point.n, 16);
-  EXPECT_EQ(pr->point.fault_plan, "");
-  EXPECT_EQ(find_point(r, "cc", "nope", 16), nullptr);
-  EXPECT_EQ(find_point(r, "cc", "b", 999), nullptr);
-  const SweepPointResult* faulty =
-      find_point(r, "dsm", "a", 8, "random:rate=0.01");
-  ASSERT_NE(faulty, nullptr);
-  EXPECT_EQ(faulty->point.fault_plan, "random:rate=0.01");
-}
-
 // ---- artifact writer ----------------------------------------------------
 
 TEST(Artifact, JsonIsSchemaVersionedAndOmitsWallTimeOnRequest) {
@@ -378,21 +362,6 @@ TEST(Drive, MutexWorkloadRunsCleanUnderEachScheduler) {
   EXPECT_TRUE(run_mutex_workload(opt).completed);
 }
 
-TEST(Drive, SeedSweepAggregates) {
-  MutexRunOptions opt;
-  opt.model = "cc";
-  opt.nprocs = 3;
-  opt.passages = 2;
-  opt.gap_delta = 8;
-  opt.max_steps = 10'000'000;
-  opt.make_lock = lock_factory_by_name("ticket");
-  const MutexSeedStats stats = run_mutex_seeds(opt, 1, 5);
-  EXPECT_EQ(stats.runs, 5);
-  EXPECT_EQ(stats.violations, 0);
-  EXPECT_EQ(stats.incomplete, 0);
-  EXPECT_GT(stats.mean_rmrs_per_passage, 0.0);
-}
-
 // ---- reduced experiment runs (the CI gate, in-process) ------------------
 
 TEST(Experiments, RegistryHasAllNineAndLookupWorks) {
@@ -409,6 +378,26 @@ TEST(Experiments, RegistryHasAllNineAndLookupWorks) {
               find_experiment("e4")->spec.ns);
   }
   EXPECT_EQ(find_experiment("e99"), nullptr);
+  for (const Experiment& e : all_experiments()) {
+    EXPECT_FALSE(e.columns.empty()) << e.name << " has no point-table columns";
+  }
+}
+
+TEST(Experiments, PointTableHasOneRowPerPointAndDashesMissingMetrics) {
+  Experiment exp;
+  exp.columns = {"cost", "absent"};
+  const SweepResult r =
+      run_sweep(two_by_everything_spec(), synthetic_runner, 1);
+  const std::string table = render_point_table(exp, r);
+  // Header + rule + one line per grid point.
+  EXPECT_EQ(std::count(table.begin(), table.end(), '\n'),
+            static_cast<long>(2 + r.points.size()));
+  EXPECT_NE(table.find("fault plan"), std::string::npos);
+  EXPECT_NE(table.find("random:rate=0.01"), std::string::npos);
+  // Last point: cc, b, N=16, seed 1 -> cost 17; "absent" renders as "-".
+  EXPECT_NE(table.find("cc     b          16  random:rate=0.01  17    -"),
+            std::string::npos)
+      << table;
 }
 
 TEST(Experiments, ReducedE1MatchesPaperClasses) {

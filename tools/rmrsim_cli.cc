@@ -111,7 +111,7 @@ Args parse(int argc, char** argv, int first) {
 }
 
 // Name → model/algorithm/lock construction lives in harness/drive.h,
-// shared with the sweep experiments and benches; unknown names throw and
+// shared with the sweep experiments; unknown names throw and
 // are reported by main().
 std::unique_ptr<SharedMemory> make_model(const std::string& name, int nprocs) {
   return make_model_by_name(name, nprocs);
@@ -308,6 +308,17 @@ int cmd_mutex(const Args& a) {
   return o.violation || !o.completed || !protocols_ok ? 1 : 0;
 }
 
+/// Every registered experiment name, '|'-joined in registry order — the
+/// one source for the usage text and the unknown-experiment error.
+std::string experiment_names() {
+  std::string names;
+  for (const Experiment& e : all_experiments()) {
+    if (!names.empty()) names += '|';
+    names += e.name;
+  }
+  return names;
+}
+
 int cmd_sweep(const Args& a) {
   if (a.has("list")) {
     TextTable t;
@@ -322,9 +333,8 @@ int cmd_sweep(const Args& a) {
   const std::string name = a.get("exp", "");
   const Experiment* exp = find_experiment(name);
   if (exp == nullptr) {
-    std::fprintf(stderr,
-                 "sweep needs --exp <e1..e9> (or --list); got '%s'\n",
-                 name.c_str());
+    std::fprintf(stderr, "sweep needs --exp <%s> (or --list); got '%s'\n",
+                 experiment_names().c_str(), name.c_str());
     return 2;
   }
   const int workers = static_cast<int>(a.get_int("workers", 1, 1, kIntMax));
@@ -352,6 +362,7 @@ int cmd_sweep(const Args& a) {
               exp->name.c_str(), artifact.result.points.size(),
               artifact.result.workers, artifact.result.wall_ms,
               exp->title.c_str());
+  std::fputs(render_point_table(*exp, artifact.result).c_str(), stdout);
   std::fputs(render_fit_table(artifact).c_str(), stdout);
   // --deterministic omits the run-environment fields (wall time, workers),
   // so the written artifact is byte-stable for a given grid + git field —
@@ -988,14 +999,20 @@ void usage() {
       "            signal: --alg A --waiters N --polls P\n"
       "            mutex:  --lock L --procs N --passages K\n"
       "            model-checks every schedule class up to D macro steps;\n"
-      "            exits 1 iff a violation is found\n"
-      "  sweep     --exp e1..e9|e4_<protocol> [--workers W] [--out DIR]\n"
+      "            exits 1 iff a violation is found\n",
+      stderr);
+  std::fprintf(stderr,
+               "  sweep     --exp E [--workers W] [--out DIR]\n"
+               "            E: %s\n",
+               experiment_names().c_str());
+  std::fputs(
       "            [--max-n N]\n"
       "            [--deterministic] [--golden FILE]\n"
       "            [--check] [--list]\n"
       "            runs the experiment's declarative grid on W threads\n"
-      "            (output is bit-identical for any W), writes\n"
-      "            BENCH_<exp>.json, and fits each series' growth class;\n"
+      "            (output is bit-identical for any W), prints one row per\n"
+      "            grid point, writes BENCH_<exp>.json, and fits each\n"
+      "            series' growth class;\n"
       "            --check exits 1 if a fit misses the paper's claim;\n"
       "            --max-n caps the grid for quick CI runs\n"
       "  trace     --gen private|hotset|zipf|ring|migratory | --in FILE\n"
