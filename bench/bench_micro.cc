@@ -7,15 +7,17 @@
 //
 // Two modes:
 //  - default: google-benchmark microbenchmarks (unchanged flags).
-//  - --perf-suite: runs the pinned perf configs below with plain wall-clock
-//    timing and writes a schema-v1 BENCH_PERF.json through the artifact
-//    writer (steps/sec, ns/step, ns/DPOR-node). `--gate-ref R` exits
-//    nonzero when the reference config (counters-only signaling steps,
-//    n = 64) measures below R steps/sec — the CI perf-smoke gate.
+//  - --perf-suite: times each pinned perf config below kPerfRepeats (5)
+//    times with plain wall-clock timing and writes a schema-v1
+//    BENCH_PERF.json through the artifact writer (steps/sec, ns/step,
+//    ns/DPOR-node: the median of the timings, plus `_min` and `_max`).
+//    `--gate-ref R` exits nonzero when the reference config (counters-only
+//    signaling steps, n = 64) measures a median below R steps/sec — the CI
+//    perf-smoke gate.
 //    `--gate-speedup S` additionally requires the compiled (bytecode)
-//    engine to clear S x the coroutine engine's steps/sec on that same
-//    reference config. See EXPERIMENTS.md ("BENCH_PERF.json") and README
-//    ("Perf suite").
+//    engine's median to clear S x the coroutine engine's median steps/sec
+//    on that same reference config. See EXPERIMENTS.md ("BENCH_PERF.json")
+//    and README ("Perf suite").
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -32,6 +34,7 @@
 #include "lowerbound/adversary.h"
 #include "memory/cc_model.h"
 #include "memory/shared_memory.h"
+#include "perf_timing.h"
 #include "sched/schedulers.h"
 #include "signaling/cc_flag.h"
 #include "signaling/compile.h"
@@ -157,22 +160,6 @@ BENCHMARK(BM_AdversaryStrict)->Arg(32)->Arg(128)->Unit(benchmark::kMillisecond);
 constexpr int kReferenceWaiters = 64;
 constexpr const char* kReferenceAlgorithm = "steps_counters";
 
-/// Runs `body` (which returns items processed) repeatedly until at least
-/// `min_seconds` of wall clock is accumulated, after one warmup run.
-template <typename Body>
-std::pair<std::uint64_t, double> run_timed(double min_seconds, Body&& body) {
-  using clock = std::chrono::steady_clock;
-  body();  // warmup: page in code, fault in allocations
-  std::uint64_t items = 0;
-  double seconds = 0;
-  while (seconds < min_seconds) {
-    const auto t0 = clock::now();
-    items += body();
-    seconds += std::chrono::duration<double>(clock::now() - t0).count();
-  }
-  return {items, seconds};
-}
-
 MetricsRegistry time_steps_config(int n, HistoryMode mode,
                                   double min_seconds,
                                   StepEngine engine = StepEngine::kCoroutine) {
@@ -288,26 +275,34 @@ int run_perf_suite(const std::string& out_dir, double min_seconds,
     SweepPointResult pr;
     pr.point = spec.point_at(i);
     const std::string& alg = pr.point.algorithm;
-    if (alg == "steps_full") {
-      pr.metrics =
-          time_steps_config(pr.point.n, HistoryMode::kFull, min_seconds);
-    } else if (alg == "steps_counters") {
-      pr.metrics = time_steps_config(pr.point.n, HistoryMode::kCountersOnly,
-                                     min_seconds);
-    } else if (alg == "steps_compiled") {
-      pr.metrics = time_steps_config(pr.point.n, HistoryMode::kCountersOnly,
-                                     min_seconds, StepEngine::kCompiled);
-    } else if (alg == "dpor_registration" && pr.point.n == 8) {
-      // One pinned size: 2 waiters x 1 poll (the cli_explore_signal shape);
-      // the depth-24 tree is what DPOR reduction leaves of it.
-      pr.metrics = time_dpor_config(/*waiters=*/2, min_seconds);
-    } else if (alg == "apply_dsm" && pr.point.n == 8) {
-      pr.metrics = time_apply_config(/*cc=*/false, min_seconds);
-    } else if (alg == "apply_cc" && pr.point.n == 8) {
-      pr.metrics = time_apply_config(/*cc=*/true, min_seconds);
-    } else if (alg == "trace_replay") {
-      pr.metrics = time_trace_replay_config(pr.point.n, min_seconds);
-    }
+    const int n = pr.point.n;
+    pr.metrics = time_repeated([&]() -> MetricsRegistry {
+      if (alg == "steps_full") {
+        return time_steps_config(n, HistoryMode::kFull, min_seconds);
+      }
+      if (alg == "steps_counters") {
+        return time_steps_config(n, HistoryMode::kCountersOnly, min_seconds);
+      }
+      if (alg == "steps_compiled") {
+        return time_steps_config(n, HistoryMode::kCountersOnly, min_seconds,
+                                 StepEngine::kCompiled);
+      }
+      if (alg == "dpor_registration" && n == 8) {
+        // One pinned size: 2 waiters x 1 poll (the cli_explore_signal
+        // shape); the depth-24 tree is what DPOR reduction leaves of it.
+        return time_dpor_config(/*waiters=*/2, min_seconds);
+      }
+      if (alg == "apply_dsm" && n == 8) {
+        return time_apply_config(/*cc=*/false, min_seconds);
+      }
+      if (alg == "apply_cc" && n == 8) {
+        return time_apply_config(/*cc=*/true, min_seconds);
+      }
+      if (alg == "trace_replay") {
+        return time_trace_replay_config(n, min_seconds);
+      }
+      return {};
+    });
     result.points.push_back(std::move(pr));
   }
   result.wall_ms = std::chrono::duration<double, std::milli>(
@@ -338,18 +333,21 @@ int run_perf_suite(const std::string& out_dir, double min_seconds,
           "ops_per_sec", "ns_per_op", "trace_replay_ops_per_sec",
           "ns_per_trace_op"}) {
       if (pr.metrics.has_value(m)) {
-        std::printf("perf %-18s n=%-3d %-16s %14.0f\n",
+        const std::string name(m);
+        std::printf("perf %-18s n=%-3d %-16s %14.0f  (%.0f..%.0f)\n",
                     pr.point.algorithm.c_str(), pr.point.n, m,
-                    pr.metrics.value(m));
+                    pr.metrics.value(name),
+                    pr.metrics.value(name + "_min"),
+                    pr.metrics.value(name + "_max"));
       }
     }
   }
   std::printf("perf suite written: %s\n", path.c_str());
-  std::printf("reference config (%s, n=%d): %.0f steps/sec\n",
+  std::printf("reference config (%s, n=%d): median %.0f steps/sec\n",
               kReferenceAlgorithm, kReferenceWaiters, ref);
   const double speedup = ref > 0 ? compiled_ref / ref : 0;
-  std::printf("compiled engine (steps_compiled, n=%d): %.0f steps/sec "
-              "(%.1fx the coroutine engine)\n",
+  std::printf("compiled engine (steps_compiled, n=%d): median %.0f "
+              "steps/sec (%.1fx the coroutine engine)\n",
               kReferenceWaiters, compiled_ref, speedup);
   if (gate_ref_steps_per_sec > 0 && ref < gate_ref_steps_per_sec) {
     std::fprintf(stderr,

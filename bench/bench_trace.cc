@@ -9,11 +9,13 @@
 //
 // Two modes:
 //  - default: run each config briefly and print the table.
-//  - --perf-suite: runs the pinned configs with `--min-time` seconds of
-//    wall clock each and writes a schema-v1 BENCH_PERF_TRACE.json through
-//    the artifact writer. `--gate-ref R` exits nonzero when the reference
-//    config (bare cc zipf replay, 32 procs) measures below R ops/sec —
-//    the CI perf-smoke gate for the workload engine.
+//  - --perf-suite: times each pinned config kPerfRepeats (5) times, each
+//    timing accumulating `--min-time` seconds of wall clock, and writes a
+//    schema-v1 BENCH_PERF_TRACE.json through the artifact writer (the
+//    median of the timings, plus `_min` and `_max`). `--gate-ref R` exits
+//    nonzero when the reference config (bare cc zipf replay, 32 procs)
+//    measures a median below R ops/sec — the CI perf-smoke gate for the
+//    workload engine.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -28,6 +30,7 @@
 #include "harness/artifact.h"
 #include "harness/drive.h"
 #include "harness/sweep.h"
+#include "perf_timing.h"
 #include "workload/generators.h"
 #include "workload/replay.h"
 #include "workload/trace.h"
@@ -41,22 +44,6 @@ constexpr int kReferenceProcs = 32;
 constexpr const char* kReferenceAlgorithm = "replay_cc";
 
 constexpr std::uint64_t kTraceOps = 50'000;
-
-/// Runs `body` (which returns items processed) repeatedly until at least
-/// `min_seconds` of wall clock is accumulated, after one warmup run.
-template <typename Body>
-std::pair<std::uint64_t, double> run_timed(double min_seconds, Body&& body) {
-  using clock = std::chrono::steady_clock;
-  body();  // warmup: page in code, fault in allocations
-  std::uint64_t items = 0;
-  double seconds = 0;
-  while (seconds < min_seconds) {
-    const auto t0 = clock::now();
-    items += body();
-    seconds += std::chrono::duration<double>(clock::now() - t0).count();
-  }
-  return {items, seconds};
-}
 
 Trace make_bench_trace(int procs) {
   GenSpec g;
@@ -118,24 +105,29 @@ int run_suite(const std::string& out_dir, double min_seconds,
     pr.point = spec.point_at(i);
     const Trace trace = make_bench_trace(pr.point.n);
     const std::string& alg = pr.point.algorithm;
-    if (alg == "replay_cc") {
-      pr.metrics = time_replay(trace, "cc", {}, min_seconds);
-    } else if (alg == "replay_dsm") {
-      pr.metrics = time_replay(trace, "dsm", {}, min_seconds);
-    } else if (alg == "replay_fleet") {
-      ReplayOptions opts;
-      opts.protocols = protocol_names();
-      pr.metrics = time_replay(trace, "cc", opts, min_seconds);
-    } else if (alg == "replay_fleet_wb") {
-      ReplayOptions opts;
-      opts.protocols = protocol_names();
-      opts.write_buffer = 8;
-      pr.metrics = time_replay(trace, "cc", opts, min_seconds);
-    } else if (alg == "parse_text") {
-      pr.metrics = time_codec(trace, /*binary=*/false, min_seconds);
-    } else if (alg == "parse_binary") {
-      pr.metrics = time_codec(trace, /*binary=*/true, min_seconds);
-    }
+    ReplayOptions fleet;
+    fleet.protocols = protocol_names();
+    ReplayOptions fleet_wb = fleet;
+    fleet_wb.write_buffer = 8;
+    pr.metrics = time_repeated([&]() -> MetricsRegistry {
+      if (alg == "replay_cc") return time_replay(trace, "cc", {}, min_seconds);
+      if (alg == "replay_dsm") {
+        return time_replay(trace, "dsm", {}, min_seconds);
+      }
+      if (alg == "replay_fleet") {
+        return time_replay(trace, "cc", fleet, min_seconds);
+      }
+      if (alg == "replay_fleet_wb") {
+        return time_replay(trace, "cc", fleet_wb, min_seconds);
+      }
+      if (alg == "parse_text") {
+        return time_codec(trace, /*binary=*/false, min_seconds);
+      }
+      if (alg == "parse_binary") {
+        return time_codec(trace, /*binary=*/true, min_seconds);
+      }
+      return {};
+    });
     result.points.push_back(std::move(pr));
   }
   result.wall_ms = std::chrono::duration<double, std::milli>(
@@ -151,9 +143,11 @@ int run_suite(const std::string& out_dir, double min_seconds,
     for (const char* m : {"trace_replay_ops_per_sec", "ns_per_trace_op",
                           "parse_ops_per_sec", "bytes_per_op"}) {
       if (pr.metrics.has_value(m)) {
-        std::printf("perf %-16s n=%-3d %-24s %14.0f\n",
+        const std::string name(m);
+        std::printf("perf %-16s n=%-3d %-24s %14.0f  (%.0f..%.0f)\n",
                     pr.point.algorithm.c_str(), pr.point.n, m,
-                    pr.metrics.value(m));
+                    pr.metrics.value(name), pr.metrics.value(name + "_min"),
+                    pr.metrics.value(name + "_max"));
       }
     }
   }
@@ -167,7 +161,7 @@ int run_suite(const std::string& out_dir, double min_seconds,
     const std::string path = write_artifact(artifact, out_dir);
     std::printf("perf suite written: %s\n", path.c_str());
   }
-  std::printf("reference config (%s, n=%d): %.0f ops/sec\n",
+  std::printf("reference config (%s, n=%d): median %.0f ops/sec\n",
               kReferenceAlgorithm, kReferenceProcs, ref);
   if (gate_ref_ops_per_sec > 0 && ref < gate_ref_ops_per_sec) {
     std::fprintf(stderr,

@@ -1,5 +1,6 @@
 #include "coherence/cache_controller.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -21,12 +22,13 @@ std::string_view to_string(LineState s) {
 }
 
 SnoopingCache::SnoopingCache(std::string name, int nprocs, CycleCosts costs)
-    : nprocs_(nprocs), costs_(costs), name_(std::move(name)),
+    : nprocs_(nprocs), mask_words_((nprocs + 63) / 64), costs_(costs),
+      name_(std::move(name)),
       proc_cycles_(static_cast<std::size_t>(nprocs), 0) {
   ensure(nprocs > 0, "SnoopingCache needs at least one processor");
 }
 
-SnoopingCache::Line& SnoopingCache::line_mut(VarId v) {
+SnoopingCache::Line& SnoopingCache::add_line(VarId v) {
   ensure(v >= 0, "variable id out of range");
   if (static_cast<std::size_t>(v) >= lines_.size()) {
     lines_.resize(static_cast<std::size_t>(v) + 1);
@@ -34,7 +36,8 @@ SnoopingCache::Line& SnoopingCache::line_mut(VarId v) {
   Line& l = lines_[static_cast<std::size_t>(v)];
   if (l.st.empty()) {
     l.st.assign(static_cast<std::size_t>(nprocs_), LineState::kInvalid);
-    l.ver.assign(static_cast<std::size_t>(nprocs_), 0);
+    l.valid.assign(static_cast<std::size_t>(mask_words_), 0);
+    l.current.assign(static_cast<std::size_t>(mask_words_), 0);
   }
   return l;
 }
@@ -75,9 +78,8 @@ void SnoopingCache::access(ProcId p, VarId v, bool write_access) {
 void SnoopingCache::on_crash(ProcId p) {
   ensure(p >= 0 && p < nprocs_, "crash of out-of-range proc");
   for (Line& l : lines_) {
-    if (l.st.empty()) continue;
+    if (l.st.empty() || !mask_test(l.valid, p)) continue;
     LineState& s = l.st[static_cast<std::size_t>(p)];
-    if (s == LineState::kInvalid) continue;
     // A dirty owner's copy is treated as flushed before the power-off, so
     // memory is current again and later fills cannot see stale data. No
     // cycles are charged: crashes are free in the pricing model.
@@ -85,7 +87,7 @@ void SnoopingCache::on_crash(ProcId p) {
                              s == LineState::kOwned ||
                              s == LineState::kSharedModified;
     s = LineState::kInvalid;
-    l.ver[static_cast<std::size_t>(p)] = 0;
+    l.valid[static_cast<std::size_t>(p / 64)] &= ~bit_of(p);
     if (dirty_owner) l.memory_stale = false;
   }
 }
@@ -138,51 +140,26 @@ void SnoopingCache::charge_write_back(ProcId p) {
 }
 
 void SnoopingCache::invalidate_others(Line& l, ProcId p) {
-  for (int q = 0; q < nprocs_; ++q) {
-    if (q == p) continue;
-    LineState& s = l.st[static_cast<std::size_t>(q)];
-    if (s == LineState::kInvalid) continue;
-    s = LineState::kInvalid;
-    l.ver[static_cast<std::size_t>(q)] = 0;
-    ++invalidations_;
-    ++useful_;  // a snooping cache only invalidates copies that exist
-  }
+  // A snooping cache only invalidates copies that exist: every message is
+  // useful.
+  const int n = count_valid_others(l, p);
+  invalidations_ += static_cast<std::uint64_t>(n);
+  useful_ += static_cast<std::uint64_t>(n);
+  if (n == 0) return;
+  for_each_valid_other(l, p, [&l](ProcId q) {
+    l.st[static_cast<std::size_t>(q)] = LineState::kInvalid;
+  });
+  const bool kept = mask_test(l.valid, p);
+  std::fill(l.valid.begin(), l.valid.end(), 0);
+  if (kept) l.valid[static_cast<std::size_t>(p / 64)] = bit_of(p);
 }
 
 void SnoopingCache::update_others(Line& l, ProcId p) {
-  for (int q = 0; q < nprocs_; ++q) {
-    if (q == p) continue;
-    if (l.st[static_cast<std::size_t>(q)] == LineState::kInvalid) continue;
-    l.ver[static_cast<std::size_t>(q)] = l.version;
-    ++updates_;
+  updates_ += static_cast<std::uint64_t>(count_valid_others(l, p));
+  for (int w = 0; w < mask_words_; ++w) {
+    l.current[static_cast<std::size_t>(w)] |=
+        l.valid[static_cast<std::size_t>(w)];
   }
-}
-
-void SnoopingCache::fill(Line& l, ProcId p, LineState s) {
-  l.st[static_cast<std::size_t>(p)] = s;
-  l.ver[static_cast<std::size_t>(p)] = l.version;
-}
-
-void SnoopingCache::bump_version(Line& l, ProcId p) {
-  ++l.version;
-  l.ver[static_cast<std::size_t>(p)] = l.version;
-}
-
-int SnoopingCache::count_valid_others(const Line& l, ProcId p) const {
-  int n = 0;
-  for (int q = 0; q < nprocs_; ++q) {
-    if (q != p && l.st[static_cast<std::size_t>(q)] != LineState::kInvalid) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-ProcId SnoopingCache::find_other(const Line& l, ProcId p, LineState s) const {
-  for (int q = 0; q < nprocs_; ++q) {
-    if (q != p && l.st[static_cast<std::size_t>(q)] == s) return q;
-  }
-  return kNoProc;
 }
 
 std::optional<std::string> SnoopingCache::check_invariants() const {
@@ -196,15 +173,21 @@ std::optional<std::string> SnoopingCache::check_invariants() const {
   for (VarId v = 0; static_cast<std::size_t>(v) < lines_.size(); ++v) {
     const Line& l = lines_[static_cast<std::size_t>(v)];
     if (l.st.empty()) continue;
-    // Every valid copy must hold the latest value — invalidation protocols
-    // guarantee it by destroying stale copies, Dragon by refreshing them.
     for (int q = 0; q < nprocs_; ++q) {
-      if (l.st[static_cast<std::size_t>(q)] == LineState::kInvalid) continue;
-      if (l.ver[static_cast<std::size_t>(q)] != l.version) {
+      const bool valid =
+          l.st[static_cast<std::size_t>(q)] != LineState::kInvalid;
+      if (mask_test(l.valid, q) != valid) {
+        return "valid set disagrees with the state lane: proc " +
+               std::to_string(q) + " is " +
+               std::string(to_string(l.st[static_cast<std::size_t>(q)])) +
+               " on v" + std::to_string(v);
+      }
+      // Every valid copy must hold the latest value — invalidation
+      // protocols guarantee it by destroying stale copies, Dragon by
+      // refreshing them.
+      if (valid && !mask_test(l.current, q)) {
         return "stale valid copy: proc " + std::to_string(q) + " holds v" +
-               std::to_string(v) + " at version " +
-               std::to_string(l.ver[static_cast<std::size_t>(q)]) + " of " +
-               std::to_string(l.version);
+               std::to_string(v) + " from before its latest write";
       }
     }
     if (auto err = check_line(l, v)) return err;

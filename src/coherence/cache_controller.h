@@ -3,11 +3,16 @@
 // Each protocol (MESI, MESIF, MOESI, Dragon) is an explicit per-line state
 // machine over the states below, driven by the CoherenceEvent stream
 // SharedMemory publishes. This base class owns everything the protocols
-// share — per-(line, processor) state storage, version tracking (every
-// valid copy must hold the latest value, however the protocol arranges
-// that), the memory-staleness bit, message tallies, and the cycle ledger —
-// so a concrete protocol is nothing but its read() / write() transition
-// functions plus its invariant checker.
+// share — per-(line, processor) state storage, the line's processor sets
+// (which copies are valid, which hold the latest write: every valid copy
+// must, however the protocol arranges that), the memory-staleness bit,
+// message tallies, and the cycle ledger — so a concrete protocol is nothing
+// but its read() / write() transition functions plus its invariant checker.
+//
+// The processor sets are bitmasks of (nprocs + 63) / 64 words (the
+// memory/store.h idiom), so counting, finding and invalidating the other
+// copies costs O(P/64) plus one step per copy, not a scan of every
+// processor.
 //
 // Two deliberate modeling choices, both inherited from the pricing layer:
 //  * one variable == one cache line == one word (no false sharing, no
@@ -18,6 +23,8 @@
 //    charged): pricing state only, the store always holds real values.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -79,8 +86,9 @@ class SnoopingCache : public MessageCounter {
 
   /// Checks every line against the protocol's transition-diagram
   /// invariants plus the fleet-wide ones (single writer-owner, every valid
-  /// copy current, tally consistency). nullopt = all hold; otherwise a
-  /// human-readable description of the first violation.
+  /// copy current, the valid set agreeing with the state lane, tally
+  /// consistency). nullopt = all hold; otherwise a human-readable
+  /// description of the first violation.
   std::optional<std::string> check_invariants() const;
 
   /// Opts into per-event cycle logging: every on_event()/access() appends
@@ -90,11 +98,14 @@ class SnoopingCache : public MessageCounter {
   const std::vector<std::uint64_t>& cycle_log() const { return cycle_log_; }
 
  protected:
+  /// Protocols move copies between valid states by writing `st`
+  /// directly; only fill(), invalidate_others() and on_crash() change
+  /// which copies are valid, so they alone maintain `valid`.
   struct Line {
-    std::vector<LineState> st;        ///< per-proc state, size nprocs
-    std::vector<std::uint64_t> ver;   ///< version each copy holds
-    std::uint64_t version = 0;        ///< writes applied to this line
-    bool memory_stale = false;        ///< memory lags a dirty owner
+    std::vector<LineState> st;            ///< per-proc state, size nprocs
+    std::vector<std::uint64_t> valid;     ///< procs whose st is not I
+    std::vector<std::uint64_t> current;   ///< procs holding the last write
+    bool memory_stale = false;            ///< memory lags a dirty owner
   };
 
   // The protocol: how `p`'s read / write transitions `l` and what it
@@ -120,33 +131,87 @@ class SnoopingCache : public MessageCounter {
   /// copy that does not exist; superfluity is a directory pathology).
   void invalidate_others(Line& l, ProcId p);
 
-  /// Refreshes every valid copy but p's to the line's current version,
+  /// Refreshes every valid copy but p's with the line's latest write,
   /// one update message per copy refreshed.
   void update_others(Line& l, ProcId p);
 
-  /// Gives `p` a current-version copy in `s`.
-  void fill(Line& l, ProcId p, LineState s);
+  /// Gives `p` a copy holding the latest write, in state `s`.
+  void fill(Line& l, ProcId p, LineState s) {
+    l.st[static_cast<std::size_t>(p)] = s;
+    l.valid[static_cast<std::size_t>(p / 64)] |= bit_of(p);
+    l.current[static_cast<std::size_t>(p / 64)] |= bit_of(p);
+  }
 
-  /// Bumps the line version and stamps p's copy with it (call on write).
-  void bump_version(Line& l, ProcId p);
+  /// Records a write by `p`: its copy becomes the only current one (call
+  /// on write).
+  void bump_version(Line& l, ProcId p) {
+    std::fill(l.current.begin(), l.current.end(), 0);
+    l.current[static_cast<std::size_t>(p / 64)] = bit_of(p);
+  }
 
-  int count_valid_others(const Line& l, ProcId p) const;
+  int count_valid_others(const Line& l, ProcId p) const {
+    int n = 0;
+    for (const std::uint64_t w : l.valid) n += std::popcount(w);
+    return mask_test(l.valid, p) ? n - 1 : n;
+  }
   bool any_valid_other(const Line& l, ProcId p) const {
     return count_valid_others(l, p) > 0;
   }
-  /// First other proc whose state is `s`; kNoProc if none.
-  ProcId find_other(const Line& l, ProcId p, LineState s) const;
 
-  Line& line_mut(VarId v);
+  /// Lowest-numbered other proc whose state is `s` (not kInvalid);
+  /// kNoProc if none.
+  ProcId find_other(const Line& l, ProcId p, LineState s) const {
+    for (int w = 0; w < mask_words_; ++w) {
+      std::uint64_t bits = l.valid[static_cast<std::size_t>(w)];
+      if (w == p / 64) bits &= ~bit_of(p);
+      while (bits != 0) {
+        const int q = w * 64 + std::countr_zero(bits);
+        if (l.st[static_cast<std::size_t>(q)] == s) return q;
+        bits &= bits - 1;
+      }
+    }
+    return kNoProc;
+  }
+
+  /// Calls f(q) for every proc q != p holding a valid copy, ascending.
+  template <class F>
+  void for_each_valid_other(const Line& l, ProcId p, F&& f) const {
+    for (int w = 0; w < mask_words_; ++w) {
+      std::uint64_t bits = l.valid[static_cast<std::size_t>(w)];
+      if (w == p / 64) bits &= ~bit_of(p);
+      while (bits != 0) {
+        f(static_cast<ProcId>(w * 64 + std::countr_zero(bits)));
+        bits &= bits - 1;
+      }
+    }
+  }
+
+  Line& line_mut(VarId v) {
+    if (v >= 0 && static_cast<std::size_t>(v) < lines_.size()) {
+      Line& l = lines_[static_cast<std::size_t>(v)];
+      if (!l.st.empty()) return l;
+    }
+    return add_line(v);
+  }
   const Line* line(VarId v) const;
 
+  static std::uint64_t bit_of(ProcId p) {
+    return std::uint64_t{1} << (p % 64);
+  }
+  static bool mask_test(const std::vector<std::uint64_t>& m, ProcId p) {
+    return (m[static_cast<std::size_t>(p / 64)] & bit_of(p)) != 0;
+  }
+
   int nprocs_;
+  int mask_words_;  ///< (nprocs + 63) / 64 words per processor set
   CycleCosts costs_;
   ProtocolStats stats_;
   std::uint64_t updates_ = 0;
 
  private:
   void charge_cycles(ProcId p, std::uint64_t cycles);
+  /// line_mut's slow path: allocates v's line on first touch.
+  Line& add_line(VarId v);
 
   std::string name_;
   std::vector<Line> lines_;  // index = VarId, grown lazily

@@ -77,14 +77,13 @@ void DragonCache::write(Line& l, ProcId p) {
     bump_version(l, p);
     charge_bus_update(p);
     update_others(l, p);
-    for (int q = 0; q < nprocs_; ++q) {
-      if (q == p) continue;
+    for_each_valid_other(l, p, [&l](ProcId q) {
       LineState& s = l.st[static_cast<std::size_t>(q)];
       if (s == LineState::kModified || s == LineState::kSharedModified ||
           s == LineState::kExclusive) {
         s = LineState::kSharedClean;
       }
-    }
+    });
     l.memory_stale = true;
     return;
   }

@@ -13,6 +13,7 @@ WriteBuffer::WriteBuffer(CoherenceListener* inner, int nprocs, int capacity)
 }
 
 int WriteBuffer::find_pending(ProcId p, VarId v) const {
+  if (holder(v) != p) return -1;
   const auto& q = pending_[static_cast<std::size_t>(p)];
   for (std::size_t i = 0; i < q.size(); ++i) {
     if (q[i].var == v) return static_cast<int>(i);
@@ -23,6 +24,7 @@ int WriteBuffer::find_pending(ProcId p, VarId v) const {
 void WriteBuffer::drain(ProcId p) {
   auto& q = pending_[static_cast<std::size_t>(p)];
   for (const CoherenceEvent& e : q) {
+    holder_[static_cast<std::size_t>(e.var)] = kNoProc;
     inner_->on_event(e);
     ++drained_;
   }
@@ -30,13 +32,13 @@ void WriteBuffer::drain(ProcId p) {
 }
 
 void WriteBuffer::drain_conflicting(ProcId p, VarId v) {
-  for (int q = 0; q < nprocs_; ++q) {
-    if (q != p && find_pending(q, v) >= 0) drain(q);
-  }
+  const ProcId q = holder(v);
+  if (q != kNoProc && q != p) drain(q);
 }
 
 void WriteBuffer::on_event(const CoherenceEvent& e) {
   ensure(e.proc >= 0 && e.proc < nprocs_, "event from out-of-range proc");
+  ensure(e.var >= 0, "event on a negative variable id");
   // Coherence point: before this access can proceed, any *other* processor's
   // buffered store to the same variable must become visible.
   drain_conflicting(e.proc, e.var);
@@ -54,6 +56,9 @@ void WriteBuffer::on_event(const CoherenceEvent& e) {
     auto& q = pending_[static_cast<std::size_t>(e.proc)];
     if (static_cast<int>(q.size()) >= capacity_) drain(e.proc);
     q.push_back(e);
+    const auto v = static_cast<std::size_t>(e.var);
+    if (v >= holder_.size()) holder_.resize(v + 1, kNoProc);
+    holder_[v] = e.proc;
     ++buffered_;
     return;
   }
@@ -89,6 +94,7 @@ void WriteBuffer::flush() {
 
 void WriteBuffer::reset() {
   for (auto& q : pending_) q.clear();
+  holder_.clear();
   buffered_ = 0;
   coalesced_ = 0;
   forwarded_ = 0;

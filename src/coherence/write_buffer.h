@@ -13,6 +13,12 @@
 // on real hardware), (d) the processor crashes, or (e) flush() is called at
 // end of run.
 //
+// Because every access first drains the other processors' stores to its
+// variable, at most one processor holds a buffered store to a variable at
+// any time. A per-variable holder index records which, so finding the
+// stores an access conflicts with, or the store a read forwards from, is
+// O(1) instead of a scan of every processor's buffer.
+//
 // The effect on the backing protocol's tallies is exactly the write
 // buffer's architectural value: coalesced writes and forwarded reads never
 // generate bus transactions, so message and cycle counts drop relative to
@@ -52,14 +58,21 @@ class WriteBuffer final : public CoherenceListener {
 
  private:
   void drain(ProcId p);
-  /// Drains every processor other than `p` holding a buffered write to `v`.
+  /// Drains the processor other than `p` holding a buffered write to `v`.
   void drain_conflicting(ProcId p, VarId v);
   int find_pending(ProcId p, VarId v) const;
+  /// The processor with a buffered write to `v`; kNoProc if none.
+  ProcId holder(VarId v) const {
+    return static_cast<std::size_t>(v) < holder_.size()
+               ? holder_[static_cast<std::size_t>(v)]
+               : kNoProc;
+  }
 
   CoherenceListener* inner_;
   int nprocs_;
   int capacity_;
   std::vector<std::vector<CoherenceEvent>> pending_;  // per-proc FIFO
+  std::vector<ProcId> holder_;  // index = VarId, grown lazily
   std::uint64_t buffered_ = 0;
   std::uint64_t coalesced_ = 0;
   std::uint64_t forwarded_ = 0;

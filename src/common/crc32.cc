@@ -1,32 +1,60 @@
 #include "common/crc32.h"
 
 #include <array>
+#include <cstddef>
 
 namespace rmrsim {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables: kCrcTables[0] is the classic bytewise table, and
+// kCrcTables[k][i] is the CRC of byte i followed by k zero bytes, so eight
+// lookups fold eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+// Little-endian load assembled from bytes: byte-order independent, and
+// compilers fold it into one load on little-endian targets.
+std::uint32_t load_le32(const unsigned char* b) {
+  return static_cast<std::uint32_t>(b[0]) |
+         static_cast<std::uint32_t>(b[1]) << 8 |
+         static_cast<std::uint32_t>(b[2]) << 16 |
+         static_cast<std::uint32_t>(b[3]) << 24;
+}
 
 }  // namespace
 
 std::uint32_t crc32(std::string_view bytes) {
+  const auto& t = kCrcTables;
+  const auto* b = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t n = bytes.size();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const char ch : bytes) {
-    c = kCrcTable[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; b += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(b) ^ c;
+    const std::uint32_t hi = load_le32(b + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++b, --n) c = t[0][(c ^ *b) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

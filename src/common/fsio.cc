@@ -4,7 +4,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -24,10 +26,19 @@ std::string dirname_of(const std::string& path) {
   return path.substr(0, slash);
 }
 
+// A staging name no other writer uses: the pid separates processes, the
+// sequence number separates threads and calls within one process. It
+// still ends in ".tmp" so stray-file sweeps recognise it.
+std::string unique_tmp_name(const std::string& path) {
+  static std::atomic<std::uint64_t> seq{0};
+  return path + "." + std::to_string(::getpid()) + "." +
+         std::to_string(seq.fetch_add(1, std::memory_order_relaxed)) + ".tmp";
+}
+
 }  // namespace
 
 void write_file_atomic(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
+  const std::string tmp = unique_tmp_name(path);
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                         0644);
   ensure(fd >= 0, "cannot open '" + tmp + "' for writing: " + errno_text());

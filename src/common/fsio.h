@@ -3,9 +3,11 @@
 // Anything the repo writes that a later run (or a CI gate) will trust must
 // survive a SIGKILL mid-write: a reader must see either the old complete
 // file or the new complete file, never a torn one. write_file_atomic gives
-// that guarantee the POSIX way — write to `<path>.tmp`, fsync the data,
-// rename over the target, fsync the directory — and fails loudly (throws)
-// on any error instead of leaving a silent partial write behind.
+// that guarantee the POSIX way — write to a staging file unique to this
+// writer (`<path>.<pid>.<seq>.tmp`, so concurrent writers of one path never
+// share it), fsync the data, rename over the target, fsync the directory —
+// and fails loudly (throws) on any error instead of leaving a silent
+// partial write behind.
 #pragma once
 
 #include <optional>

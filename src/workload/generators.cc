@@ -43,9 +43,20 @@ TraceOp private_op(SplitMix64& rng, int procs, ProcId p, std::uint64_t slot) {
   return op;
 }
 
-Trace gen_private(const GenSpec& s) {
+/// An empty trace with room for all of `s`'s ops: every generator emits
+/// exactly s.ops, so one allocation of the final size replaces the
+/// doubling chain, whose last step holds the old and the new buffer (up
+/// to three times the trace) and which leaves freed blocks of every size
+/// behind.
+Trace sized_trace(const GenSpec& s) {
   Trace t;
   t.nprocs = s.procs;
+  t.ops.reserve(s.ops);
+  return t;
+}
+
+Trace gen_private(const GenSpec& s) {
+  Trace t = sized_trace(s);
   SplitMix64 rng(s.seed);
   std::vector<std::uint64_t> slot(s.procs, 0);
   for (std::uint64_t i = 0; i < s.ops; ++i) {
@@ -56,8 +67,7 @@ Trace gen_private(const GenSpec& s) {
 }
 
 Trace gen_hotset(const GenSpec& s) {
-  Trace t;
-  t.nprocs = s.procs;
+  Trace t = sized_trace(s);
   SplitMix64 rng(s.seed);
   std::vector<std::uint64_t> slot(s.procs, 0);
   for (std::uint64_t i = 0; i < s.ops; ++i) {
@@ -97,8 +107,7 @@ Trace gen_hotset(const GenSpec& s) {
 }
 
 Trace gen_zipf(const GenSpec& s) {
-  Trace t;
-  t.nprocs = s.procs;
+  Trace t = sized_trace(s);
   SplitMix64 rng(s.seed);
   for (std::uint64_t i = 0; i < s.ops; ++i) {
     const ProcId p = static_cast<ProcId>(i % s.procs);
@@ -143,8 +152,7 @@ Trace gen_zipf(const GenSpec& s) {
 }
 
 Trace gen_ring(const GenSpec& s) {
-  Trace t;
-  t.nprocs = s.procs;
+  Trace t = sized_trace(s);
   SplitMix64 rng(s.seed);
   const int pairs = s.procs / 2;
   std::vector<std::uint64_t> produced(std::max(pairs, 1), 0);
@@ -190,8 +198,7 @@ Trace gen_ring(const GenSpec& s) {
 }
 
 Trace gen_migratory(const GenSpec& s) {
-  Trace t;
-  t.nprocs = s.procs;
+  Trace t = sized_trace(s);
   SplitMix64 rng(s.seed);
   const int groups = (s.procs + kMigratoryGroup - 1) / kMigratoryGroup;
   // Round-robin over groups; within a group the object is held for a

@@ -356,6 +356,7 @@ Trace parse_trace_binary(std::string_view bytes, std::string_view origin) {
 
 std::string trace_to_binary(const Trace& trace) {
   std::string out(kBinaryMagic);
+  out.reserve(kBinaryHeaderSize + trace.ops.size() * kRecordSize + 4);
   put_u32(out, static_cast<std::uint32_t>(trace.nprocs));
   put_u64(out, trace.ops.size());
   for (const TraceOp& op : trace.ops) {

@@ -5,7 +5,9 @@
 // exact cycle charge under the default CycleCosts table (memory fetch 100,
 // cache transfer 12, bus signal / update 2, write-back 100). A failing row
 // names the protocol, the prelude, and the probe, localizing a transition
-// bug to a single arc of the protocol's diagram.
+// bug to a single arc of the protocol's diagram. The wide tables repeat key
+// arcs with the copies at processors 63, 64, 127 and 128 of 130, on both
+// sides of each 64-bit word boundary of the line's processor sets.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,12 +23,15 @@ namespace rmrsim {
 namespace {
 
 constexpr int kProcs = 4;
+constexpr int kWideProcs = 130;  // three mask words
 constexpr VarId kVar = 0;
 
 // One transition probe. Accesses are tokens "R<p>" (read), "W<p>" (write),
 // "X<p>" (crash of processor p); `expected` is the per-processor state of
 // kVar after the probe, space-separated ("M I I I"). The message and cycle
-// fields are deltas attributable to the probe alone.
+// fields are deltas attributable to the probe alone. In the wide tables
+// `expected` lists only the valid copies as "<p>:<state>" ("64:M"); every
+// other processor must be I.
 struct Arc {
   const char* prelude;
   const char* probe;
@@ -38,9 +43,11 @@ struct Arc {
 };
 
 void apply_token(SnoopingCache& cache, const std::string& tok) {
-  ASSERT_EQ(tok.size(), 2u) << "bad access token: " << tok;
-  const ProcId p = tok[1] - '0';
-  ASSERT_TRUE(p >= 0 && p < kProcs) << "bad processor in token: " << tok;
+  ASSERT_GE(tok.size(), 2u) << "bad access token: " << tok;
+  ASSERT_EQ(tok.find_first_not_of("0123456789", 1), std::string::npos)
+      << "bad processor in token: " << tok;
+  const ProcId p = std::stoi(tok.substr(1));
+  ASSERT_TRUE(p < cache.nprocs()) << "bad processor in token: " << tok;
   if (tok[0] == 'X') {
     cache.on_crash(p);
     return;
@@ -51,16 +58,23 @@ void apply_token(SnoopingCache& cache, const std::string& tok) {
 
 std::string state_string(const SnoopingCache& cache) {
   std::string out;
-  for (ProcId p = 0; p < kProcs; ++p) {
-    if (p != 0) out += ' ';
-    out += std::string(to_string(cache.state(p, kVar)));
+  for (ProcId p = 0; p < cache.nprocs(); ++p) {
+    if (cache.nprocs() == kProcs) {
+      if (p != 0) out += ' ';
+      out += std::string(to_string(cache.state(p, kVar)));
+    } else if (cache.state(p, kVar) != LineState::kInvalid) {
+      if (!out.empty()) out += ' ';
+      out += std::to_string(p) + ":" +
+             std::string(to_string(cache.state(p, kVar)));
+    }
   }
   return out;
 }
 
-void run_arc(const std::string& protocol, const Arc& arc) {
+void run_arc(const std::string& protocol, const Arc& arc,
+             int nprocs = kProcs) {
   SCOPED_TRACE(protocol + ": [" + arc.prelude + "] probe " + arc.probe);
-  std::unique_ptr<SnoopingCache> cache = make_protocol(protocol, kProcs);
+  std::unique_ptr<SnoopingCache> cache = make_protocol(protocol, nprocs);
   ASSERT_NE(cache, nullptr);
 
   std::istringstream pre(arc.prelude);
@@ -87,8 +101,9 @@ void run_arc(const std::string& protocol, const Arc& arc) {
   EXPECT_EQ(cache->total_cycles() - c0, arc.cycles) << "cycles";
 }
 
-void run_table(const std::string& protocol, const std::vector<Arc>& table) {
-  for (const Arc& arc : table) run_arc(protocol, arc);
+void run_table(const std::string& protocol, const std::vector<Arc>& table,
+               int nprocs = kProcs) {
+  for (const Arc& arc : table) run_arc(protocol, arc, nprocs);
 }
 
 TEST(CoherenceConformance, MesiTransitionTable) {
@@ -185,6 +200,46 @@ TEST(CoherenceConformance, DragonTransitionTable) {
       // Dirty crash flushes, cold refill takes E.
       {"W1 X1", "R0", "E I I I", 1, 0, 0, 100},
   });
+}
+
+// ---- wide tables: copies on both sides of the mask-word boundaries ------
+
+TEST(CoherenceConformance, MesiWideTransitionTable) {
+  run_table("mesi", {
+      {"R63 R64", "R127", "63:S 64:S 127:S", 1, 0, 0, 12},
+      {"W128", "R63", "63:S 128:S", 1, 0, 0, 112},
+      // One invalidation per copy, in every word.
+      {"R63 R64 R127 R128", "W0", "0:M", 1, 4, 0, 12},
+      {"R63 R64 R127 R128", "W64", "64:M", 0, 3, 0, 2},
+      {"R64 R128 X64", "W127", "127:M", 1, 1, 0, 12},
+  }, kWideProcs);
+}
+
+TEST(CoherenceConformance, MesifWideTransitionTable) {
+  run_table("mesif", {
+      // The F holder is found across words and hands F on.
+      {"R63 R128", "R64", "63:S 64:F 128:S", 1, 0, 0, 12},
+      {"R127 R128 X128", "R63", "63:F 127:S", 1, 0, 0, 100},
+      {"R63 R64 R127 R128", "W128", "128:M", 0, 3, 0, 2},
+  }, kWideProcs);
+}
+
+TEST(CoherenceConformance, MoesiWideTransitionTable) {
+  run_table("moesi", {
+      {"W128", "R63", "63:S 128:O", 1, 0, 0, 12},
+      {"W128 R63", "R64", "63:S 64:S 128:O", 1, 0, 0, 12},
+      {"W127 R63 R64 R128", "W63", "63:M", 0, 3, 0, 2},
+  }, kWideProcs);
+}
+
+TEST(CoherenceConformance, DragonWideTransitionTable) {
+  run_table("dragon", {
+      {"W64", "R63", "63:Sc 64:Sm", 1, 0, 0, 12},
+      // One update per remote copy, in every word; the old update-owner
+      // demotes.
+      {"W128 R63 R64 R127", "W63", "63:Sm 64:Sc 127:Sc 128:Sc", 0, 0, 3, 2},
+      {"W127 R128 R64", "W63", "63:Sm 64:Sc 127:Sc 128:Sc", 1, 0, 3, 14},
+  }, kWideProcs);
 }
 
 // Dragon never invalidates: across every row of its table (and any trace),

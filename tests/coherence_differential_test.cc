@@ -18,9 +18,11 @@
 //     per-processor cycles sum to the total.
 //
 // The same harness doubles as the property-based invariant sweep (fleet
-// invariants checked after EVERY event, crashes included), and the file
-// also covers counter reset/reproducibility, listener re-registration
-// across Simulation::fork, and the write-buffer front end.
+// invariants checked after EVERY event, crashes included), run again at 130
+// processors so every processor set spans three 64-bit mask words. The
+// file also covers counter reset/reproducibility, listener re-registration
+// across Simulation::fork, mutant protocols the invariant checker must
+// convict, and the write-buffer front end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -176,6 +178,50 @@ TEST(CoherenceDifferential, CrossProtocolRelationsSurviveCrashes) {
   }
 }
 
+// The same relations with the copies spread over three mask words.
+TEST(CoherenceDifferential, CrossProtocolRelationsAt130Procs) {
+  for (const std::uint64_t seed : {31u, 32u}) {
+    World w(/*nprocs=*/130, /*nvars=*/4);
+    drive_random(w, seed, /*steps=*/2000, /*crashes=*/seed == 32u);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_relations(w, /*crashed=*/seed == 32u);
+  }
+}
+
+// A buffered 130-processor fleet: invariants hold after every event and
+// after the final flush, and the relations between the state machines stay
+// exact. The ideal directory is left out: it prices each store with the
+// copy count SharedMemory saw when the store was applied, while the
+// protocols see it when it drains (a coalesced store carries the later
+// store's count), so behind a buffer the two legitimately differ.
+TEST(CoherenceDifferential, WideFleetBehindWriteBufferKeepsRelations) {
+  const int n = 130;
+  for (const std::uint64_t seed : {41u, 42u, 43u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    World w(n, /*nvars=*/4);
+    WriteBuffer wb(w.fleet.listener(), n, /*capacity=*/4);
+    w.mem->set_listener(&wb);
+    drive_random(w, seed, /*steps=*/3000, /*crashes=*/seed == 43u);
+    wb.flush();
+    ASSERT_EQ(w.fleet.check_invariants(), std::nullopt);
+    EXPECT_EQ(wb.drained_writes(), wb.buffered_writes());
+
+    ProtocolFleet& f = w.fleet;
+    EXPECT_EQ(f.mesif().useful_invalidations(),
+              f.mesi().useful_invalidations());
+    EXPECT_EQ(f.moesi().useful_invalidations(),
+              f.mesi().useful_invalidations());
+    EXPECT_EQ(f.moesi().stats().write_backs, 0u);
+    EXPECT_EQ(f.moesi().invalidation_messages(),
+              f.mesi().invalidation_messages());
+    EXPECT_EQ(f.mesi().total_cycles() - f.moesi().total_cycles(),
+              100 * f.mesi().stats().write_backs);
+    EXPECT_EQ(f.dragon().invalidation_messages(), 0u);
+    EXPECT_GT(f.mesi().invalidation_messages(), 0u);
+    EXPECT_GT(f.dragon().update_messages(), 0u);
+  }
+}
+
 // MessageCounter::reset must restore every fleet member to a truly blank
 // slate: replaying the identical trace after reset reproduces the identical
 // tallies, bit for bit.
@@ -282,6 +328,97 @@ TEST(CoherenceDifferential, ForkedWorldNeedsListenerReRegistration) {
   EXPECT_GT(mesi.total_cycles(), 0u);
 }
 
+// ---- the invariant checker convicts broken protocols --------------------
+
+// MESI with the write's invalidations left out: the writer takes M while
+// the other copies stay valid, holding the value from before the write.
+class NoInvalidateMesi final : public MesiCache {
+ public:
+  using MesiCache::MesiCache;
+
+ protected:
+  void write(Line& l, ProcId p) override {
+    charge_bus_signal(p);
+    fill(l, p, LineState::kModified);
+    bump_version(l, p);
+    l.memory_stale = true;
+  }
+};
+
+// MESI whose read miss against a Modified holder fills a second M copy.
+class SecondOwnerMesi final : public MesiCache {
+ public:
+  using MesiCache::MesiCache;
+
+ protected:
+  void read(Line& l, ProcId p) override {
+    if (l.st[static_cast<std::size_t>(p)] == LineState::kInvalid &&
+        find_other(l, p, LineState::kModified) != kNoProc) {
+      charge_cache_transfer(p);
+      fill(l, p, LineState::kModified);
+      return;
+    }
+    MesiCache::read(l, p);
+  }
+};
+
+// MESI whose shared read miss writes the requester's state directly
+// instead of filling: the state lane gains a copy the valid set lacks.
+class BypassFillMesi final : public MesiCache {
+ public:
+  using MesiCache::MesiCache;
+
+ protected:
+  void read(Line& l, ProcId p) override {
+    if (l.st[static_cast<std::size_t>(p)] == LineState::kInvalid &&
+        any_valid_other(l, p)) {
+      charge_cache_transfer(p);
+      l.st[static_cast<std::size_t>(p)] = LineState::kShared;
+      const ProcId excl = find_other(l, p, LineState::kExclusive);
+      if (excl != kNoProc) {
+        l.st[static_cast<std::size_t>(excl)] = LineState::kShared;
+      }
+      return;
+    }
+    MesiCache::read(l, p);
+  }
+};
+
+TEST(InvariantChecker, ConvictsAWriteThatSkipsInvalidation) {
+  NoInvalidateMesi cache(/*nprocs=*/4);
+  cache.access(0, 0, /*write=*/false);
+  cache.access(1, 0, /*write=*/false);
+  ASSERT_EQ(cache.check_invariants(), std::nullopt);
+  cache.access(0, 0, /*write=*/true);
+  const auto viol = cache.check_invariants();
+  ASSERT_TRUE(viol.has_value());
+  EXPECT_NE(viol->find("stale valid copy: proc 1 holds v0"), std::string::npos)
+      << *viol;
+}
+
+TEST(InvariantChecker, ConvictsASecondModifiedHolder) {
+  SecondOwnerMesi cache(/*nprocs=*/4);
+  cache.access(2, 0, /*write=*/true);
+  ASSERT_EQ(cache.check_invariants(), std::nullopt);
+  cache.access(3, 0, /*write=*/false);
+  EXPECT_EQ(cache.state(2, 0), LineState::kModified);
+  EXPECT_EQ(cache.state(3, 0), LineState::kModified);
+  const auto viol = cache.check_invariants();
+  ASSERT_TRUE(viol.has_value());
+  EXPECT_NE(viol->find("two M/E holders on v0"), std::string::npos) << *viol;
+}
+
+TEST(InvariantChecker, ConvictsACopyTheValidSetDoesNotRecord) {
+  BypassFillMesi cache(/*nprocs=*/130);
+  cache.access(0, 0, /*write=*/false);
+  cache.access(64, 0, /*write=*/false);
+  const auto viol = cache.check_invariants();
+  ASSERT_TRUE(viol.has_value());
+  EXPECT_NE(viol->find("valid set disagrees with the state lane: proc 64"),
+            std::string::npos)
+      << *viol;
+}
+
 // ---- write-buffer front end ---------------------------------------------
 
 struct RecordingListener final : CoherenceListener {
@@ -381,6 +518,38 @@ TEST(WriteBufferTest, CrashDrainsThenPowersDown) {
   ASSERT_EQ(rec.crashes.size(), 1u);
   EXPECT_EQ(rec.crashes[0], 0);
   EXPECT_EQ(wb.pending(0), 0);
+}
+
+// The conflict index across a mask-word boundary. Each access first drains
+// the other processors' stores to its variable, so stores by 70, 3 and 64
+// to one variable reach the protocol in program order, each drained by the
+// next store's coherence point and the last by the read. A drain of several
+// processors (flush) goes in ascending processor order: 3, 64, 70.
+TEST(WriteBufferTest, DrainOrderAcrossAProcessorWordBoundary) {
+  auto procs = [](const RecordingListener& rec) {
+    std::vector<ProcId> out;
+    for (const CoherenceEvent& e : rec.events) out.push_back(e.proc);
+    return out;
+  };
+  RecordingListener rec;
+  WriteBuffer wb(&rec, /*nprocs=*/130, /*capacity=*/4);
+  for (const ProcId p : {70, 3, 64}) {
+    wb.on_event(make_event(p, 9, OpType::kWrite));
+  }
+  EXPECT_EQ(procs(rec), (std::vector<ProcId>{70, 3}));
+  EXPECT_EQ(wb.pending(70) + wb.pending(3) + wb.pending(64), 1);
+  wb.on_event(make_event(5, 9, OpType::kRead));
+  EXPECT_EQ(procs(rec), (std::vector<ProcId>{70, 3, 64, 5}));
+  EXPECT_EQ(rec.events.back().op, OpType::kRead);
+
+  RecordingListener rec2;
+  WriteBuffer wb2(&rec2, /*nprocs=*/130, /*capacity=*/4);
+  wb2.on_event(make_event(70, 1, OpType::kWrite));
+  wb2.on_event(make_event(3, 2, OpType::kWrite));
+  wb2.on_event(make_event(64, 3, OpType::kWrite));
+  EXPECT_TRUE(rec2.events.empty());
+  wb2.flush();
+  EXPECT_EQ(procs(rec2), (std::vector<ProcId>{3, 64, 70}));
 }
 
 // Behind a live SharedMemory, a buffered fleet still ends every run with

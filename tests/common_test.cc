@@ -1,10 +1,20 @@
 // Unit tests for the common substrate: deterministic RNG, invariant
-// checking, table rendering, and the slope fitters' edge cases.
+// checking, table rendering, the slope fitters' edge cases, the CRC-32
+// checksum, and atomic file replacement under concurrent writers.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/check.h"
+#include "common/crc32.h"
+#include "common/fsio.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -117,6 +127,89 @@ TEST(Stats, QuadraticHasSlopeTwoOnLogLog) {
     ys.push_back(x * x);
   }
   EXPECT_NEAR(loglog_slope(xs, ys), 2.0, 1e-9);
+}
+
+// The textbook one-bit-at-a-time CRC-32 (reflected, polynomial 0xEDB88320):
+// the reference the table-driven crc32() must agree with byte for byte.
+std::uint32_t crc32_bitwise(std::string_view bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, CheckValue) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc32(""), 0u);
+}
+
+// Every length 0..300 at every start offset 0..7, so each length meets the
+// eight-byte fold at every alignment and every tail length.
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  SplitMix64 rng(42);
+  std::string buf(300 + 8, '\0');
+  for (char& ch : buf) ch = static_cast<char>(rng.below(256));
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::string_view s(buf.data() + off, len);
+      ASSERT_EQ(crc32(s), crc32_bitwise(s)) << "offset " << off << " length "
+                                            << len;
+    }
+  }
+}
+
+// Concurrent writers of one path must never share a staging file: the
+// final file is one writer's whole payload, and no staging file is left.
+TEST(Fsio, ConcurrentAtomicWritersLeaveOneWholePayload) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("rmrsim-fsio-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "artifact.json").string();
+
+  constexpr int kThreads = 8;
+  constexpr int kWrites = 50;
+  // Distinct payloads of distinct lengths, long enough that a shared
+  // staging file would interleave or truncate them.
+  auto payload = [](int t, int i) {
+    return std::string(static_cast<std::size_t>(4096 + t * kWrites + i),
+                       static_cast<char>('a' + t)) +
+           "|" + std::to_string(t) + "." + std::to_string(i);
+  };
+  std::set<std::string> all;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kWrites; ++i) all.insert(payload(t, i));
+  }
+
+  std::vector<std::thread> writers;
+  std::vector<std::string> errors(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      try {
+        for (int i = 0; i < kWrites; ++i) {
+          write_file_atomic(path, payload(t, i));
+        }
+      } catch (const std::exception& e) {
+        errors[static_cast<std::size_t>(t)] = e.what();
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  for (const std::string& e : errors) EXPECT_EQ(e, "");
+
+  const auto final_bytes = read_file(path);
+  ASSERT_TRUE(final_bytes.has_value());
+  EXPECT_EQ(all.count(*final_bytes), 1u) << "torn or foreign final file";
+  std::size_t entries = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    ++entries;
+    EXPECT_NE(e.path().extension(), ".tmp") << e.path();
+  }
+  EXPECT_EQ(entries, 1u);
+  fs::remove_all(dir);
 }
 
 }  // namespace
