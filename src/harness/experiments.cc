@@ -32,24 +32,41 @@ namespace {
 
 // ---- shared point runners ---------------------------------------------
 
+/// The call-cost and Specification 4.1 folds, fed one recorded step at a
+/// time.
+struct SignalingFolds final : StepSink {
+  CallCostFold calls;
+  SpecFold spec;
+  void on_step(const StepRecord& r) override {
+    calls.on_step(r);
+    spec.on_step(r);
+  }
+};
+
 /// Standard signaling workload point: run, verify the spec, publish the
 /// simulation plus the three headline gauges every signaling experiment
-/// reads (rmrs.max_waiter / rmrs.signaler / rmrs.amortized).
+/// reads (rmrs.max_waiter / rmrs.signaler / rmrs.amortized). The run keeps
+/// no records: per-call costs and the spec verdict are folded as steps are
+/// recorded, with the same results per_call_costs and check_*_spec give on
+/// a full history.
 MetricsRegistry run_signaling_point(const std::string& model, int n_waiters,
                                     const SignalingFactory& factory,
                                     SignalingWorkloadOptions opt) {
   opt.n_waiters = n_waiters;
+  opt.history_mode = HistoryMode::kCountersOnly;
+  SignalingFolds folds;
+  opt.step_sink = &folds;
   MetricsRegistry reg;
   auto run = run_signaling_workload(make_model_by_name(model, n_waiters + 1),
                                     factory, opt);
+  folds.calls.finish();
   publish_simulation(reg, *run.sim);
-  publish_call_costs(reg, per_call_costs(run.sim->history()));
+  publish_call_totals(reg, folds.calls.totals());
   reg.set("rmrs.max_waiter", static_cast<double>(run.max_waiter_rmrs()));
   reg.set("rmrs.signaler", static_cast<double>(run.signaler_rmrs()));
   reg.set("rmrs.amortized", run.amortized_rmrs());
-  const auto violation = opt.blocking
-                             ? check_blocking_spec(run.sim->history())
-                             : check_polling_spec(run.sim->history());
+  const auto violation = opt.blocking ? folds.spec.blocking_violation()
+                                      : folds.spec.polling_violation();
   reg.set("spec.ok", violation.has_value() ? 0.0 : 1.0);
   return reg;
 }

@@ -90,4 +90,15 @@ struct StepRecord {
   std::string to_string() const;
 };
 
+/// Receives every step a Simulation records during Simulation::run, in
+/// history order and with its history index set — including the crash and
+/// recovery events a fault-injecting scheduler appends. Online folds (call
+/// costs, the Specification 4.1 check) implement it so a counters-only run
+/// still yields results that would otherwise be read off stored records.
+class StepSink {
+ public:
+  virtual ~StepSink() = default;
+  virtual void on_step(const StepRecord& r) = 0;
+};
+
 }  // namespace rmrsim

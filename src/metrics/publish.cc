@@ -60,21 +60,35 @@ void publish_simulation(MetricsRegistry& reg, const Simulation& sim) {
   reg.add("sim.clock", sim.now());
 }
 
+void publish_call_totals(MetricsRegistry& reg,
+                         const std::vector<CallCodeTotals>& totals) {
+  static constexpr auto kRmrBounds = [] {
+    std::array<double, kRmrsPerCallBounds.size()> b{};
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = static_cast<double>(kRmrsPerCallBounds[i]);
+    }
+    return b;
+  }();
+  for (const CallCodeTotals& t : totals) {
+    if (t.count == 0) continue;
+    const std::string base = "calls." + call_name(t.call_code);
+    reg.add(base + ".count", t.count);
+    if (t.completed > 0) reg.add(base + ".completed", t.completed);
+    reg.add(base + ".rmrs", t.rmrs);
+    reg.add(base + ".mem_steps", t.mem_steps);
+    reg.add(base + ".cycles", t.cycles);
+    reg.merge_summary(base + ".rmrs_summary",
+                      {.count = t.count,
+                       .sum = static_cast<double>(t.rmrs),
+                       .min = static_cast<double>(t.rmrs_min),
+                       .max = static_cast<double>(t.rmrs_max)});
+    reg.histogram_merge(base + ".rmrs_per_call", kRmrBounds, t.rmrs_per_call);
+  }
+}
+
 void publish_call_costs(MetricsRegistry& reg,
                         const std::vector<CallCost>& costs) {
-  static constexpr std::array<double, 8> kRmrBounds = {0, 1, 2, 4,
-                                                       8, 16, 32, 64};
-  for (const CallCost& c : costs) {
-    const std::string base = "calls." + call_name(c.call_code);
-    reg.add(base + ".count");
-    if (c.completed) reg.add(base + ".completed");
-    reg.add(base + ".rmrs", c.rmrs);
-    reg.add(base + ".mem_steps", c.mem_steps);
-    reg.add(base + ".cycles", c.cycles);
-    reg.observe(base + ".rmrs_summary", static_cast<double>(c.rmrs));
-    reg.histogram_observe(base + ".rmrs_per_call", kRmrBounds,
-                          static_cast<double>(c.rmrs));
-  }
+  publish_call_totals(reg, call_code_totals(costs));
 }
 
 void publish_messages(MetricsRegistry& reg, const MessageCounter& counter) {

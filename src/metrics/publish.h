@@ -32,6 +32,7 @@ class MessageCounter;
 class SnoopingCache;
 class WriteBuffer;
 struct CallCost;
+struct CallCodeTotals;
 
 /// ledger.* totals plus a per-process RMR summary (ledger.proc_rmrs).
 void publish_ledger(MetricsRegistry& reg, const RmrLedger& ledger);
@@ -43,9 +44,14 @@ void publish_history(MetricsRegistry& reg, const History& h);
 /// Ledger + history of a finished simulation, plus sim.steps / sim.clock.
 void publish_simulation(MetricsRegistry& reg, const Simulation& sim);
 
-/// Per-call-code cost aggregates over a per_call_costs slice: counts,
-/// completion counts, RMR/mem-step totals and summaries, and a fixed-bucket
-/// histogram of RMRs per call (bounds 0,1,2,4,8,16,32,64).
+/// Per-call-code cost aggregates: counts, completion counts, RMR/mem-step/
+/// cycle totals, an RMR summary, and a fixed-bucket histogram of RMRs per
+/// call (bounds 0,1,2,4,8,16,32,64). One registry entry per code and
+/// metric, however many calls the totals cover.
+void publish_call_totals(MetricsRegistry& reg,
+                         const std::vector<CallCodeTotals>& totals);
+
+/// publish_call_totals over a per_call_costs slice.
 void publish_call_costs(MetricsRegistry& reg,
                         const std::vector<CallCost>& costs);
 

@@ -64,15 +64,27 @@ void MetricsRegistry::observe(std::string_view name, double value) {
   s.max = std::max(s.max, value);
 }
 
+void MetricsRegistry::merge_summary(std::string_view name, const Summary& s) {
+  auto it = summaries_.find(name);
+  if (it == summaries_.end()) {
+    summaries_.emplace(std::string(name), s);
+    return;
+  }
+  Summary& into = it->second;
+  into.count += s.count;
+  into.sum += s.sum;
+  into.min = std::min(into.min, s.min);
+  into.max = std::max(into.max, s.max);
+}
+
 const MetricsRegistry::Summary* MetricsRegistry::summary(
     std::string_view name) const {
   auto it = summaries_.find(name);
   return it == summaries_.end() ? nullptr : &it->second;
 }
 
-void MetricsRegistry::histogram_observe(std::string_view name,
-                                        std::span<const double> bounds,
-                                        double value) {
+MetricsRegistry::Histogram& MetricsRegistry::histogram_slot(
+    std::string_view name, std::span<const double> bounds) {
   ensure(!bounds.empty(), "histogram needs at least one bucket bound");
   ensure(std::is_sorted(bounds.begin(), bounds.end()),
          "histogram bounds must be ascending");
@@ -81,14 +93,19 @@ void MetricsRegistry::histogram_observe(std::string_view name,
     Histogram h;
     h.bounds.assign(bounds.begin(), bounds.end());
     h.counts.assign(bounds.size() + 1, 0);
-    it = histograms_.emplace(std::string(name), std::move(h)).first;
-  } else {
-    ensure(it->second.bounds.size() == bounds.size() &&
-               std::equal(bounds.begin(), bounds.end(),
-                          it->second.bounds.begin()),
-           "histogram re-observed with different bounds");
+    return histograms_.emplace(std::string(name), std::move(h)).first->second;
   }
-  Histogram& h = it->second;
+  ensure(it->second.bounds.size() == bounds.size() &&
+             std::equal(bounds.begin(), bounds.end(),
+                        it->second.bounds.begin()),
+         "histogram re-observed with different bounds");
+  return it->second;
+}
+
+void MetricsRegistry::histogram_observe(std::string_view name,
+                                        std::span<const double> bounds,
+                                        double value) {
+  Histogram& h = histogram_slot(name, bounds);
   // Inclusive upper bounds (value <= bounds[i] lands in bucket i), so a
   // bound of 0 catches exactly-zero observations.
   const auto bucket = static_cast<std::size_t>(
@@ -96,6 +113,18 @@ void MetricsRegistry::histogram_observe(std::string_view name,
       h.bounds.begin());
   ++h.counts[bucket];
   ++h.total;
+}
+
+void MetricsRegistry::histogram_merge(std::string_view name,
+                                      std::span<const double> bounds,
+                                      std::span<const std::uint64_t> counts) {
+  ensure(counts.size() == bounds.size() + 1,
+         "histogram merge needs one count per bucket");
+  Histogram& h = histogram_slot(name, bounds);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    h.counts[i] += counts[i];
+    h.total += counts[i];
+  }
 }
 
 const MetricsRegistry::Histogram* MetricsRegistry::histogram(
@@ -122,29 +151,9 @@ const MetricsRegistry::Series* MetricsRegistry::series(
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   for (const auto& [name, v] : other.counters_) add(name, v);
   for (const auto& [name, v] : other.gauges_) set(name, v);
-  for (const auto& [name, s] : other.summaries_) {
-    auto it = summaries_.find(name);
-    if (it == summaries_.end()) {
-      summaries_.emplace(name, s);
-    } else {
-      it->second.count += s.count;
-      it->second.sum += s.sum;
-      it->second.min = std::min(it->second.min, s.min);
-      it->second.max = std::max(it->second.max, s.max);
-    }
-  }
+  for (const auto& [name, s] : other.summaries_) merge_summary(name, s);
   for (const auto& [name, h] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      histograms_.emplace(name, h);
-      continue;
-    }
-    ensure(it->second.bounds == h.bounds,
-           "histogram merge with different bounds");
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      it->second.counts[i] += h.counts[i];
-    }
-    it->second.total += h.total;
+    histogram_merge(name, h.bounds, h.counts);
   }
   for (const auto& [name, s] : other.series_) {
     auto it = series_.find(name);

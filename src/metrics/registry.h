@@ -46,6 +46,9 @@ class MetricsRegistry {
     double mean() const { return count == 0 ? 0.0 : sum / count; }
   };
   void observe(std::string_view name, double value);
+  /// Merges a pre-aggregated summary into `name`: the same result as
+  /// observing each of its values (exactly so for integer-valued sums).
+  void merge_summary(std::string_view name, const Summary& s);
   /// nullptr if nothing was observed under `name`.
   const Summary* summary(std::string_view name) const;
 
@@ -59,6 +62,10 @@ class MetricsRegistry {
   /// on first use. Later calls must pass identical bounds (checked).
   void histogram_observe(std::string_view name, std::span<const double> bounds,
                          double value);
+  /// Adds pre-counted buckets (`counts.size() == bounds.size() + 1`) into
+  /// `name`, with the same creation and bounds rules as histogram_observe.
+  void histogram_merge(std::string_view name, std::span<const double> bounds,
+                       std::span<const std::uint64_t> counts);
   const Histogram* histogram(std::string_view name) const;
 
   // ---- labeled series (x/y points with an optional label) ------------
@@ -93,6 +100,11 @@ class MetricsRegistry {
   std::string to_json() const;
 
  private:
+  /// The histogram `name`, created empty with `bounds` on first use;
+  /// later uses must pass identical bounds (checked).
+  Histogram& histogram_slot(std::string_view name,
+                            std::span<const double> bounds);
+
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
   std::map<std::string, Summary, std::less<>> summaries_;

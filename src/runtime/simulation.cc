@@ -201,7 +201,7 @@ const StepRecord& Simulation::step(ProcId p) {
   }
   ++pr.steps;
   schedule_.push_back(p);
-  return history_.append(std::move(rec));
+  return record(std::move(rec));
 }
 
 Simulation::MacroFootprint Simulation::macro_step(ProcId p) {
@@ -290,7 +290,7 @@ void Simulation::crash(ProcId p) {
   rec.proc = p;
   rec.kind = StepRecord::Kind::kEvent;
   rec.event = EventKind::kCrash;
-  history_.append(std::move(rec));
+  record(std::move(rec));
 }
 
 void Simulation::recover(ProcId p) {
@@ -315,7 +315,7 @@ void Simulation::recover(ProcId p) {
   rec.proc = p;
   rec.kind = StepRecord::Kind::kEvent;
   rec.event = EventKind::kRecover;
-  history_.append(std::move(rec));
+  record(std::move(rec));
   // Re-run the local prologue to the first suspension point, mirroring the
   // constructor. No memory operation is applied here.
   if (pr.bc != nullptr) {
@@ -607,16 +607,31 @@ void Simulation::step_compiled_fast(ProcId p, Proc& pr,
   }
 }
 
+const StepRecord& Simulation::record(StepRecord&& rec) {
+  const StepRecord& recorded = history_.append(std::move(rec));
+  if (sink_ != nullptr) sink_->on_step(recorded);
+  return recorded;
+}
+
 Simulation::RunResult Simulation::run(Scheduler& sched,
-                                      std::uint64_t max_steps) {
+                                      std::uint64_t max_steps,
+                                      StepSink* sink) {
   RunResult r;
+  // The sink is scoped to this call, also when a step throws.
+  struct SinkScope {
+    StepSink*& slot;
+    ~SinkScope() { slot = nullptr; }
+  } sink_scope{sink_};
+  sink_ = sink;
   // Counters-only fast path for compiled processes: per-step records are
-  // dropped anyway, nothing consumes resume logs or coherence events, and
-  // ledger increments commute — so steps skip StepRecord construction
-  // entirely and ledger charges are batched per process, flushed below.
+  // dropped anyway, nothing consumes resume logs, coherence events or
+  // recorded steps, and ledger increments commute — so steps skip
+  // StepRecord construction entirely and ledger charges are batched per
+  // process, flushed below.
   const bool fast = bytecode_ != nullptr &&
                     history_.mode() == HistoryMode::kCountersOnly &&
-                    !fork_log_ && memory_->listener() == nullptr;
+                    !fork_log_ && memory_->listener() == nullptr &&
+                    sink == nullptr;
   std::vector<std::uint64_t> batch_ops;
   std::vector<std::uint64_t> batch_rmrs;
   if (fast) {

@@ -178,8 +178,14 @@ class Simulation {
   };
 
   /// Runs under a scheduler until everyone terminated, the scheduler returns
-  /// kNoProc, or max_steps total steps were applied.
-  RunResult run(Scheduler& sched, std::uint64_t max_steps);
+  /// kNoProc, or max_steps total steps were applied. A non-null `sink`
+  /// receives every step recorded during this call (crash/recovery events
+  /// from a fault-injecting scheduler included), whatever the history mode.
+  /// It is held only for the duration of the call: snapshots, forks and
+  /// fingerprints never see it. A sink turns the compiled fast path off, as
+  /// a coherence listener does, because that path builds no records.
+  RunResult run(Scheduler& sched, std::uint64_t max_steps,
+                StepSink* sink = nullptr);
 
   const History& history() const { return history_; }
 
@@ -356,6 +362,10 @@ class Simulation {
                           std::vector<std::uint64_t>& batch_ops,
                           std::vector<std::uint64_t>& batch_rmrs);
 
+  /// Appends `rec` to the history and hands the recorded form to the
+  /// running sink, if any. Every recorded step goes through here.
+  const StepRecord& record(StepRecord&& rec);
+
   SharedMemory* memory_;
   std::uint64_t now_ = 0;
   // The program callables are kept alive here for the whole simulation: a
@@ -374,6 +384,9 @@ class Simulation {
   std::vector<ProcId> schedule_;
   std::vector<FaultRecord> fault_trace_;
   bool fork_log_ = false;  // resume logging on (snapshot()-capable)
+  // run()'s step sink, set only while run() executes (never part of the
+  // world a snapshot captures).
+  StepSink* sink_ = nullptr;
 };
 
 // Inline: proc()/ready()/runnable() run once per candidate inside every

@@ -1,104 +1,98 @@
 #include "signaling/checker.h"
 
 #include <map>
-#include <vector>
 
 namespace rmrsim {
 
+void SpecFold::convict(Verdict& v, std::int64_t begin, std::int64_t end,
+                       const char* what) {
+  if (v.begin >= 0 && v.begin < begin) return;
+  v.begin = begin;
+  v.violation = SpecViolation{end, what};
+}
+
+void SpecFold::on_step(const StepRecord& r) {
+  if (r.kind != StepRecord::Kind::kEvent) return;
+  const bool begin = r.event == EventKind::kCallBegin;
+  const bool end = r.event == EventKind::kCallEnd;
+  if (!begin && !end && r.event != EventKind::kCrash) return;
+  const auto idx = static_cast<std::size_t>(r.proc);
+  if (idx >= procs_.size()) procs_.resize(idx + 1);
+  ProcSpans& ps = procs_[idx];
+  if (r.event == EventKind::kCrash) {
+    // The victim's open calls never return, so they impose no obligations.
+    ps = ProcSpans{};
+    return;
+  }
+  switch (r.code) {
+    case calls::kSignal:
+      if (begin) {
+        signal_begun_ = true;
+        ps.signal_open = true;
+      } else if (ps.signal_open) {
+        signal_completed_ = true;
+        ps.signal_open = false;
+      }
+      break;
+    case calls::kPoll:
+      if (begin) {
+        ps.poll = {.begin = r.index, .signal_completed = signal_completed_};
+      } else if (ps.poll.begin >= 0) {
+        if (r.value != 0 && !signal_begun_) {
+          // Clause 1: some Signal() must have begun before this return.
+          convict(polling_, ps.poll.begin, r.index,
+                  "Poll() returned true but no Signal() had begun");
+        } else if (r.value == 0 && ps.poll.signal_completed) {
+          // Clause 2: no Signal() may have completed before it began.
+          convict(polling_, ps.poll.begin, r.index,
+                  "Poll() returned false although a Signal() completed "
+                  "before it began");
+        }
+        ps.poll = {};
+      }
+      break;
+    case calls::kWait:
+      if (begin) {
+        ps.wait = {.begin = r.index};
+      } else if (ps.wait.begin >= 0) {
+        if (!signal_begun_) {
+          convict(blocking_, ps.wait.begin, r.index,
+                  "Wait() returned but no Signal() had begun");
+        }
+        ps.wait = {};
+      }
+      break;
+    default:
+      break;
+  }
+}
+
+std::optional<SpecViolation> SpecFold::polling_violation() const {
+  if (polling_.begin < 0) return std::nullopt;
+  return polling_.violation;
+}
+
+std::optional<SpecViolation> SpecFold::blocking_violation() const {
+  if (blocking_.begin < 0) return std::nullopt;
+  return blocking_.violation;
+}
+
 namespace {
 
-struct CallSpan {
-  ProcId proc = kNoProc;
-  std::int64_t begin = -1;
-  std::int64_t end = -1;  ///< -1 while still pending
-  Word ret = 0;
-};
-
-/// Collects spans of calls with the given code, pairing begins with ends per
-/// process (calls do not nest within one process). A crash abandons the
-/// victim's open call: the span stays end-less (the call never returned), and
-/// a later re-execution after recovery opens a fresh span.
-std::vector<CallSpan> collect(const History& h, Word code) {
-  std::vector<CallSpan> out;
-  std::map<ProcId, std::size_t> open;  // proc -> index into out
-  for (const StepRecord& r : h.records()) {
-    if (r.kind != StepRecord::Kind::kEvent) continue;
-    if (r.event == EventKind::kCrash) {
-      open.erase(r.proc);
-      continue;
-    }
-    if (r.code != code) continue;
-    if (r.event == EventKind::kCallBegin) {
-      open[r.proc] = out.size();
-      out.push_back(CallSpan{.proc = r.proc, .begin = r.index});
-    } else if (r.event == EventKind::kCallEnd) {
-      auto it = open.find(r.proc);
-      if (it != open.end()) {
-        out[it->second].end = r.index;
-        out[it->second].ret = r.value;
-        open.erase(it);
-      }
-    }
-  }
-  return out;
+SpecFold fold_records(const History& h) {
+  SpecFold fold;
+  for (const StepRecord& r : h.records()) fold.on_step(r);
+  return fold;
 }
 
 }  // namespace
 
 std::optional<SpecViolation> check_polling_spec(const History& h) {
-  const std::vector<CallSpan> polls = collect(h, calls::kPoll);
-  const std::vector<CallSpan> signals = collect(h, calls::kSignal);
-
-  std::int64_t first_signal_begin = -1;
-  std::int64_t first_signal_end = -1;
-  for (const CallSpan& s : signals) {
-    if (first_signal_begin < 0 || s.begin < first_signal_begin) {
-      first_signal_begin = s.begin;
-    }
-    if (s.end >= 0 && (first_signal_end < 0 || s.end < first_signal_end)) {
-      first_signal_end = s.end;
-    }
-  }
-
-  for (const CallSpan& p : polls) {
-    if (p.end < 0) continue;  // call still pending: no return value yet
-    if (p.ret != 0) {
-      // Clause 1: some Signal() must have begun before this Poll() returned.
-      if (first_signal_begin < 0 || first_signal_begin > p.end) {
-        return SpecViolation{
-            p.end, "Poll() returned true but no Signal() had begun"};
-      }
-    } else {
-      // Clause 2: no Signal() may have completed before this Poll() began.
-      if (first_signal_end >= 0 && first_signal_end < p.begin) {
-        return SpecViolation{
-            p.end,
-            "Poll() returned false although a Signal() completed before it "
-            "began"};
-      }
-    }
-  }
-  return std::nullopt;
+  return fold_records(h).polling_violation();
 }
 
 std::optional<SpecViolation> check_blocking_spec(const History& h) {
-  const std::vector<CallSpan> waits = collect(h, calls::kWait);
-  const std::vector<CallSpan> signals = collect(h, calls::kSignal);
-
-  std::int64_t first_signal_begin = -1;
-  for (const CallSpan& s : signals) {
-    if (first_signal_begin < 0 || s.begin < first_signal_begin) {
-      first_signal_begin = s.begin;
-    }
-  }
-  for (const CallSpan& w : waits) {
-    if (w.end < 0) continue;
-    if (first_signal_begin < 0 || first_signal_begin > w.end) {
-      return SpecViolation{
-          w.end, "Wait() returned but no Signal() had begun"};
-    }
-  }
-  return std::nullopt;
+  return fold_records(h).blocking_violation();
 }
 
 std::optional<SpecViolation> check_signal_once(const History& h) {

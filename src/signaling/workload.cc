@@ -77,10 +77,10 @@ SignalingRun run_signaling_workload(std::unique_ptr<SharedMemory> mem,
   Simulation::RunResult result{};
   if (options.scheduler_seed == 0) {
     RoundRobinScheduler sched;
-    result = r.sim->run(sched, options.step_budget);
+    result = r.sim->run(sched, options.step_budget, options.step_sink);
   } else {
     RandomScheduler sched(options.scheduler_seed);
-    result = r.sim->run(sched, options.step_budget);
+    result = r.sim->run(sched, options.step_budget, options.step_sink);
   }
   ensure(result.all_terminated, "signaling workload did not complete");
   if (options.listener != nullptr) options.listener->flush();

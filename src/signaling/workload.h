@@ -51,6 +51,10 @@ struct SignalingWorkloadOptions {
   /// Attached to the memory for the whole run (coherence-protocol pricing);
   /// flushed after completion. Must outlive the call. nullptr = none.
   CoherenceListener* listener = nullptr;
+  /// Receives every step the run records (Simulation::run's sink), so
+  /// online folds can replace record-backed analyses in kCountersOnly
+  /// mode. Must outlive the call. nullptr = none.
+  StepSink* step_sink = nullptr;
   /// kCompiled lowers the drivers to bytecode (signaling/compile.h) when the
   /// algorithm implements lowering; otherwise the run silently falls back to
   /// the coroutine engine (check SignalingRun::compiled). Results are

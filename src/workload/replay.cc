@@ -124,6 +124,13 @@ MetricsRegistry replay_trace_core(const Trace& trace, SharedMemory& mem,
 
 MetricsRegistry replay_trace(const Trace& trace, SharedMemory& mem,
                              const ReplayOptions& opts) {
+  // The legacy counters price each access from the SharedMemory outcome
+  // computed when it was applied; a drained (or coalesced) store reaches
+  // them later, against a different sharer set, so their tallies would be
+  // silently wrong.
+  ensure(!(opts.legacy_counters && opts.write_buffer > 0),
+         "replay: the legacy message counters cannot run behind a write "
+         "buffer (they would price drained stores with stale sharer sets)");
   std::vector<std::unique_ptr<SnoopingCache>> caches;
   ListenerFanout fanout;
   for (const std::string& name : opts.protocols) {

@@ -35,6 +35,8 @@ struct ReplayOptions {
   /// Protocol state machines to ride the replay ("mesi", ...); empty = none.
   std::vector<std::string> protocols;
   /// Also attach the legacy Section 8 message counters (bus/ideal/coarse).
+  /// Refused together with write_buffer > 0: they price each store with
+  /// the sharer set it was applied against, not the one it drains into.
   bool legacy_counters = false;
   /// Per-processor store-buffer entries in front of the protocols; 0 = off.
   int write_buffer = 0;

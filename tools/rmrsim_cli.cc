@@ -1021,6 +1021,8 @@ void usage() {
       "            [--protocols [all|mesi,mesif,moesi,dragon]]\n"
       "            [--write-buffer N] [--addr-map interleave[:B]|global|\n"
       "                       first-touch]  (address -> (var, home) policy)\n"
+      "            [--legacy-counters]  (bus/ideal/coarse message counts;\n"
+      "                       refused with --write-buffer)\n"
       "            [--cycle-cost fetch=F,transfer=T,signal=S,update=U,\n"
       "                       writeback=W]  (override protocol cycle costs)\n"
       "            [--emit FILE [--binary] [--no-replay]]  (save the trace)\n"
